@@ -89,7 +89,8 @@ def _exponent_two_characters(Y: CoverGraph) -> list[tuple[int, ...]]:
             if bit:
                 g = G.mul[g][b]
         coords[g] = bits
-    assert len(coords) == G.order
+    if len(coords) != G.order:
+        raise AssertionError(f"greedy basis reaches {len(coords)} of {G.order} elements")
     chars = []
     for signs in product(range(2), repeat=len(basis)):
         chars.append(

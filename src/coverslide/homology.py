@@ -133,28 +133,7 @@ def _build_basis(Y: CoverGraph, vertices: Sequence[int], edges: Sequence[Edge], 
 
     tree = frozenset(e for (_, e, _) in parent.values())
     cotree = tuple(e for e in edges if e not in tree)
-
-    def path_steps(v: int) -> list[tuple[Edge, int]]:
-        steps = []
-        while v != root:
-            par, e, d = parent[v]
-            steps.append((e, d))
-            v = par
-        steps.reverse()
-        return steps
-
-    cycles = []
-    for e in cotree:
-        z: Chain1 = {}
-        for e2, d in path_steps(e[0]):
-            chain_add(z, e2, d)
-        chain_add(z, e, 1)
-        head = Y.edge_head(e)
-        for e2, d in path_steps(head):
-            chain_add(z, e2, -d)
-        cycles.append(z)
-
-    return HomologyBasis(
+    B = HomologyBasis(
         cover=Y,
         root=root,
         vertices=tuple(vertices),
@@ -163,9 +142,21 @@ def _build_basis(Y: CoverGraph, vertices: Sequence[int], edges: Sequence[Edge], 
         parent=parent,
         tree=tree,
         cotree=cotree,
-        cycles=tuple(cycles),
+        cycles=(),
         cotree_index={e: k for k, e in enumerate(cotree)},
     )
+
+    cycles = []
+    for e in cotree:
+        z: Chain1 = {}
+        for e2, d in tree_path_steps(B, e[0]):
+            chain_add(z, e2, d)
+        chain_add(z, e, 1)
+        for e2, d in tree_path_steps(B, Y.edge_head(e)):
+            chain_add(z, e2, -d)
+        cycles.append(z)
+    B.cycles = tuple(cycles)
+    return B
 
 
 def cycle_basis(Y: CoverGraph) -> HomologyBasis:
@@ -225,9 +216,7 @@ def class_to_chain(B: HomologyBasis, v: Sequence[Rational]) -> Chain1:
 def deck_action_matrix(Y: CoverGraph, B: HomologyBasis, g: int) -> list:
     """Matrix of left translation by g on homology, columns indexed by the
     basis cycles.  Satisfies rho(e) = I and rho(g)rho(h) = rho(gh)."""
-    cols = [_coords(B, translate_chain(Y, g, zk)) for zk in B.cycles]
-    r = B.rank
-    return [[cols[k][row] for k in range(r)] for row in range(r)]
+    return linalg.transpose([_coords(B, translate_chain(Y, g, zk)) for zk in B.cycles])
 
 
 def character(Y: CoverGraph, B: HomologyBasis, g: int) -> Rational:
@@ -299,11 +288,3 @@ def basis_to_json(B: HomologyBasis) -> dict:
         "tree": [list(e) for e in sorted(B.tree)],
         "cotree": [list(e) for e in B.cotree],
     }
-
-
-def class_to_json(v: Sequence[Rational]) -> list[str]:
-    return linalg.vector_to_json(v)
-
-
-def matrix_to_json(m: Sequence[Sequence[Rational]]) -> list[list[str]]:
-    return linalg.matrix_to_json(m)

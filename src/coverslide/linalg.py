@@ -18,10 +18,6 @@ Vector = list
 Matrix = list
 
 
-def vec_zero(k: int) -> Vector:
-    return [0] * k
-
-
 def vec_add(u: Sequence, v: Sequence) -> Vector:
     return [a + b for a, b in zip(u, v)]
 
@@ -44,10 +40,6 @@ def mat_identity(k: int) -> Matrix:
 
 def mat_zero(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -163,13 +155,5 @@ def vector_to_json(v: Sequence) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def vector_from_json(items: Sequence[str]) -> Vector:
-    return [parse_rational(s) for s in items]
-
-
 def matrix_to_json(a: Matrix) -> list[list[str]]:
     return [vector_to_json(row) for row in a]
-
-
-def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
-    return [vector_from_json(row) for row in rows]

@@ -59,6 +59,15 @@ class SearchExhausted(RuntimeError):
     indicates a bug or an unreasonably small bound."""
 
 
+class CertificateFailed(RuntimeError):
+    """A constructed certificate failed its own verification; ``failures``
+    names the checks that did not hold."""
+
+    def __init__(self, failures: Sequence[str]):
+        self.failures = tuple(failures)
+        super().__init__(f"certificate failed self-verification: {', '.join(self.failures)}")
+
+
 @dataclass
 class MoveCertificate:
     """Everything needed to recheck that the slide moves v on an infinite orbit."""
@@ -160,7 +169,8 @@ def find_slide_loop(
                 if ck != 0:
                     word = word * (fundamental_loop_word(B0, e) ** ck)
             word = free_reduce(word)
-            assert Y.image_of(word) == 0
+            if Y.image_of(word) != 0:
+                raise CertificateFailed(["property 2"])
             return word
     raise SearchExhausted(f"no full-rank loop among {tested} candidates (petal {j})")
 
@@ -179,9 +189,11 @@ def move_vector(
     an infinite orbit.
 
     Runs the pairing-edge scan, the slide-loop search and the action formula,
-    then re-checks every certificate invariant before returning.  The
-    optional ``loop_cache`` maps petal -> found loop and only short-circuits
-    the (v-independent) search, so results are identical with or without it.
+    then re-checks every certificate invariant with :func:`verify_certificate`
+    before returning; if any check fails it raises :class:`CertificateFailed`
+    naming them.  The optional ``loop_cache`` maps petal -> found loop and
+    only short-circuits the (v-independent) search, so results are identical
+    with or without it.
     """
     if linalg.vec_is_zero(v):
         raise ZeroVector("cannot move the zero class")
@@ -201,14 +213,15 @@ def move_vector(
         pairing_edge=(g_star, j),
         ell=ell,
         ell_class=L.ell_class,
-        orbit_rank_value=orbit_rank_of_chain(Y, B, L.ell_chain),
+        # the search accepts only full rank; the self-check recomputes it
+        orbit_rank_value=Y.group.order,
         increment=increment,
         matrix=L.matrix,
         iterates_checked=depth,
     )
     check = verify_certificate(Y, B, v, cert)
     if not check:
-        raise AssertionError(f"certificate failed self-verification: {check.failures}")
+        raise CertificateFailed(check.failures)
     return cert
 
 

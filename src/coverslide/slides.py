@@ -135,19 +135,12 @@ def lifted_action_formula(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis)
         ell_class=ell_class,
         matrix=[],
     )
-    r = B.rank
     cols = []
     for k, zk in enumerate(B.cycles):
-        col = [0] * r
-        col[k] = 1
-        for (g, i), c in zk.items():
-            if i == s.j and c != 0:
-                cls = L.translate_class(g)
-                for row in range(r):
-                    if cls[row] != 0:
-                        col[row] = col[row] + c * cls[row]
+        col = _petal_increment(L, zk)
+        col[k] += 1
         cols.append(col)
-    L.matrix = [[cols[k][row] for k in range(r)] for row in range(r)]
+    L.matrix = linalg.transpose(cols)
     return L
 
 
@@ -165,28 +158,33 @@ def lifted_action_oracle(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis) 
         g, i = e
         wi = apply_automorphism(s, Word.generator(i))
         edge_image[e] = chain_of_path(lift_word(Y, wi, g))
-    r = B.rank
     cols = []
     for zk in B.cycles:
         img: Chain1 = {}
         for e, c in zk.items():
             chain_add_scaled(img, edge_image[e], c)
         cols.append(chain_to_class(B, img))
-    return [[cols[k][row] for k in range(r)] for row in range(r)]
+    return linalg.transpose(cols)
+
+
+def _petal_increment(L: LiftedSlide, z: Chain1) -> list:
+    """``sum_g xi_{(g,j)}(z) * [g . ell~]``: the displacement the lifted slide
+    adds to the cycle z, summed over the petal-j edges in its support."""
+    r = L.basis.rank
+    delta = [0] * r
+    for (g, i), c in z.items():
+        if i == L.slide.j and c != 0:
+            cls = L.translate_class(g)
+            for row in range(r):
+                if cls[row] != 0:
+                    delta[row] = delta[row] + c * cls[row]
+    return delta
 
 
 def slide_increment(L: LiftedSlide, w: list) -> list:
     """The per-iterate displacement ``F(w) - w`` of a class, from the closed
     form (not from the matrix)."""
-    z = class_to_chain(L.basis, w)
-    delta = [0] * L.basis.rank
-    for (g, i), c in z.items():
-        if i == L.slide.j and c != 0:
-            cls = L.translate_class(g)
-            for row in range(L.basis.rank):
-                if cls[row] != 0:
-                    delta[row] = delta[row] + c * cls[row]
-    return delta
+    return _petal_increment(L, class_to_chain(L.basis, w))
 
 
 def iterate_closed_form(L: LiftedSlide, d: int, w: list) -> list:

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from coverslide import builtin_group, group_to_json
+import coverslide
+from coverslide import CertificateCheck, builtin_group, group_to_json, mover
 from coverslide.cli import main
 
 
@@ -73,6 +78,14 @@ def test_bad_config_exit_2(capsys):
     assert run(capsys, "build", "--group", "nosuch:4", "--n", "2")[0] == 2
     assert run(capsys, "build", "--group", "cyclic:4", "--images", "9,1")[0] == 2
     assert run(capsys, "build", "--group", "cyclic:4", "--images", "1")[0] == 2
+    move = ("move", "--group", "cyclic:3", "--images", "1,1,0")
+    code, out, err = run(capsys, *move, "--vector", "1/0,0,0,0,0,0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    for depth in ("-3", "0"):
+        code, out, err = run(capsys, *move, "--vector-word", "a3", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert "--depth" in err
 
 
 # --- verify-cw ----------------------------------------------------------------
@@ -202,6 +215,17 @@ def test_move_open_word_rejected(capsys):
     assert "closed" in err
 
 
+def test_move_certificate_failed_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        mover, "verify_certificate", lambda *a: CertificateCheck(False, ("property 3", "pairing edge"))
+    )
+    code, out, err = run(
+        capsys, "move", "--group", "cyclic:3", "--images", "1,1,0", "--vector-word", "a3"
+    )
+    assert (code, out) == (1, "")
+    assert "property 3" in err and "pairing edge" in err
+
+
 def test_move_wrong_vector_length_exit_2(capsys):
     code, _, _ = run(
         capsys,
@@ -288,3 +312,33 @@ def test_selftest_injected_fault(capsys):
     assert code == 1
     assert "FAIL  slides" in out
     assert "selftest failed: slides" in out
+
+
+_WRONG_ORACLE_SELFTEST = """
+import sys
+from coverslide import cli
+
+oracle = cli.lifted_action_oracle
+
+def wrong_oracle(s, Y, B):
+    m = oracle(s, Y, B)
+    m[0][0] += 1
+    return m
+
+cli.lifted_action_oracle = wrong_oracle
+sys.exit(cli.main(["selftest", "--quick"]))
+"""
+
+
+def test_selftest_checks_survive_optimize():
+    # under -O an ``assert`` vanishes; the suites must still catch a wrong oracle
+    src = str(Path(coverslide.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_ORACLE_SELFTEST],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  slides" in proc.stdout

@@ -11,14 +11,12 @@ from coverslide import (
     chain_to_class,
     character,
     class_to_chain,
-    class_to_json,
     cocycle_eval,
     component_basis,
     cycle_basis,
     deck_action_matrix,
     inclusion_rank_test,
     lift_word,
-    matrix_to_json,
     orbit_rank,
     orbit_rank_of_chain,
     petal_complement_components,
@@ -30,11 +28,13 @@ from coverslide.linalg import (
     mat_mul,
     mat_trace,
     mat_vec,
+    matrix_to_json,
     rank,
     vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
+    vector_to_json,
 )
 
 from helpers import battery_covers
@@ -272,7 +272,7 @@ def test_matrix_json(mod2_cover, mod2_basis):
 
 
 def test_class_json():
-    assert class_to_json([Fraction(1, 2), 3]) == ["1/2", "3"]
+    assert vector_to_json([Fraction(1, 2), 3]) == ["1/2", "3"]
 
 
 def test_basis_json(mod2_basis):

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from coverslide import (
+    CertificateFailed,
     RankTooSmall,
     SearchExhausted,
     Word,
@@ -196,6 +197,20 @@ def test_move_cyclic3_loop_edge_class(cyclic3_cover):
     cert = move_vector(Y, B, v)
     assert verify_certificate(Y, B, v, cert).ok
     assert cert.orbit_rank_value == 3
+
+
+def test_move_poisoned_cache_raises_certificate_failed(klein_n3_cover, klein_n3_basis):
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = unit_vector(B.rank, 0)
+    j, _ = find_pairing_edge(Y, B, v)
+    k = 2 if j == 1 else 1
+    # a_k has order 2 in the Klein group: a_k.a_k closes, but its deck orbit
+    # spans only 2 of the 4 dimensions
+    poisoned = Word.generator(k) * Word.generator(k)
+    assert orbit_rank_of_chain(Y, B, chain_of_path(lift_word(Y, poisoned, 0))) < 4
+    with pytest.raises(CertificateFailed, match="property 3") as info:
+        move_vector(Y, B, v, loop_cache={j: poisoned})
+    assert "property 3" in info.value.failures
 
 
 def test_move_with_and_without_cache_identical(klein_n3_cover, klein_n3_basis):
