@@ -8,7 +8,8 @@ indices or labels).  Output is human-readable by default, JSON with
 
 ``move --vector`` takes comma-separated rationals; a negative first
 coordinate needs the ``--vector=-1,0,...`` form, because argparse reads
-``--vector -1,...`` as an option.  ``--depth`` must be at least 1.
+``--vector -1,...`` as an option.  ``--depth`` must be in
+1..``mover.MAX_ITERATE_DEPTH``.
 
 Exit codes: 0 success, 1 failed verification or selftest (for ``move``: the
 certificate failed self-verification, and the failed checks are named on
@@ -63,6 +64,7 @@ from .homology import (
     deck_action_matrix,
 )
 from .mover import (
+    MAX_ITERATE_DEPTH,
     CertificateFailed,
     RankTooSmall,
     SearchExhausted,
@@ -217,8 +219,8 @@ def cmd_verify_cw(args: argparse.Namespace) -> int:
 
 
 def cmd_move(args: argparse.Namespace) -> int:
-    if args.depth < 1:
-        raise ConfigError(f"--depth must be at least 1, got {args.depth}")
+    if not 1 <= args.depth <= MAX_ITERATE_DEPTH:
+        raise ConfigError(f"--depth must be in 1..{MAX_ITERATE_DEPTH}, got {args.depth}")
     Y, B = _cover_from_args(args)
     v = _parse_vector(args, Y, B)
     # move_vector verifies the certificate and raises CertificateFailed otherwise
@@ -488,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector-word", help="word whose closed lift's class is moved")
     p.add_argument("--seed", type=int, default=0, help="loop search seed (default 0)")
     p.add_argument("--max-candidates", type=int, default=10_000, help="loop search bound")
-    p.add_argument("--depth", type=int, default=10, help="iterates checked in the certificate")
+    p.add_argument("--depth", type=int, default=10, help=f"iterates checked in the certificate (1..{MAX_ITERATE_DEPTH})")
     p.add_argument("--out", help="write the certificate JSON to a file")
     p.set_defaults(fn=cmd_move)
 

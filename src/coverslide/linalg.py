@@ -3,15 +3,16 @@
 Vectors are plain lists and matrices are lists of rows.  Entries are Python
 ints or :class:`fractions.Fraction`; mixed arithmetic stays exact, and integer
 entries stay integers (which keeps the hot paths fast).  Rank is computed by
-fraction-free (Bareiss) elimination after clearing denominators row by row, so
-there are no tolerances anywhere.
+sparse integer elimination after clearing denominators row by row: rows are
+kept as dicts of their nonzero entries, so the cost follows the nonzeros
+rather than the matrix size, and there are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 Vector = list
@@ -92,51 +93,42 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Clear denominators row by row (rank is unchanged)."""
-    cleared = []
+def _integer_rows(rows: Sequence[Sequence]) -> Iterator[dict[int, int]]:
+    """Each row's nonzeros as ``col -> int``, denominators cleared (rank is unchanged)."""
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        if den == 1:
-            cleared.append([int(x) for x in row])
-        else:
-            cleared.append([int(x * den) for x in row])
-    return cleared
+        nonzero = {c: x for c, x in enumerate(row) if x}
+        den = lcm(*(x.denominator for x in nonzero.values()))
+        yield {c: int(x * den) for c, x in nonzero.items()}
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of the row span, via fraction-free Bareiss elimination."""
-    if not rows:
-        return 0
-    m = _integer_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
+    """Exact rank over Q of the row span, via sparse integer elimination.
+
+    Each cleared row, a dict ``col -> int`` of its nonzeros, is reduced
+    against the pivot row of its leading column (``v <- a*v - b*p``, then
+    divided by its content gcd) until it is zero or becomes a new pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    for v in _integer_rows(rows):
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mrc = m[r][c]
-            mi, mr = m[i], m[r]
-            for j in range(c + 1, ncols):
-                mi[j] = (mi[j] * mrc - mic * mr[j]) // prev
-            mi[c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+            g = gcd(p[lead], v[lead])
+            a, b = p[lead] // g, v[lead] // g
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, x in p.items():
+                y = v.get(c, 0) - b * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+            g = gcd(*v.values())
+            if g > 1:
+                v = {c: x // g for c, x in v.items()}
+    return len(pivots)
 
 
 def format_rational(x: Rational) -> str:

@@ -16,8 +16,8 @@ from scratch, independently of the code that produced it.
 The loop search runs inside the identity component of the petal complement:
 candidate integer combinations of its fundamental cycles are enumerated
 deterministically (unit vectors, then small 0/1 combinations, then seeded
-random vectors with doubling entry bounds) and the first candidate whose
-deck orbit has full rank wins.
+random vectors with entry bounds doubling up to a fixed cap) and the first
+candidate whose deck orbit has full rank wins.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ from .slides import lifted_action_formula, lifted_action_oracle, make_slide, sli
 
 DEFAULT_MAX_CANDIDATES = 10_000
 DEFAULT_ITERATE_DEPTH = 10
+# bounds the O(depth * rank^2) iterate check in the certificate and its verifier
+MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
+# keeps the exponents of a late random success, and so the loop word, bounded
+_MAX_RANDOM_BOUND = 1 << 10
 
 
 class ZeroVector(ValueError):
@@ -129,7 +133,7 @@ def _candidate_vectors(m: int, seed: int) -> Iterator[tuple[int, ...]]:
     while True:
         for _ in range(_RANDOM_ROUND):
             yield tuple(rng.randint(-bound, bound) for _ in range(m))
-        bound *= 2
+        bound = min(2 * bound, _MAX_RANDOM_BOUND)
 
 
 def find_slide_loop(
@@ -195,6 +199,8 @@ def move_vector(
     only short-circuits the (v-independent) search, so results are identical
     with or without it.
     """
+    if not 1 <= depth <= MAX_ITERATE_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_ITERATE_DEPTH}, got {depth}")
     if linalg.vec_is_zero(v):
         raise ZeroVector("cannot move the zero class")
     if Y.n < 3:
@@ -275,7 +281,7 @@ def verify_certificate(
     else:
         failures.append("matrix vs formula")
 
-    if len(cert.matrix) == B.rank and len(v) == B.rank:
+    if 1 <= cert.iterates_checked <= MAX_ITERATE_DEPTH and len(cert.matrix) == B.rank == len(v):
         w = v
         seen = {tuple(w)}
         iterates_ok = True

@@ -88,6 +88,23 @@ def test_bad_config_exit_2(capsys):
         assert "--depth" in err
 
 
+def test_move_depth_over_bound_exit_2():
+    # run in a subprocess so that a missing bound shows as a timeout, not a hang;
+    # the depth is refused before the cover is built
+    src = str(Path(coverslide.__file__).resolve().parent.parent)
+    argv = ["move", "--group", "cyclic:3", "--images", "1,1,0", "--vector-word", "a3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverslide.cli", *argv, "--depth", "100000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")
+    assert f"1..{mover.MAX_ITERATE_DEPTH}" in proc.stderr
+
+
 # --- verify-cw ----------------------------------------------------------------
 
 

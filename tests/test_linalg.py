@@ -1,0 +1,111 @@
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
+from coverslide.cwcheck import elevation_rank_obstruction
+from coverslide.linalg import mat_mul, rank
+
+
+def naive_rank(rows):
+    """Textbook Gauss elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def bareiss_rank(rows):
+    """Fraction-free (Bareiss) elimination on denominator-cleared rows."""
+    if not rows:
+        return 0
+    m = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        m.append([int(x * den) for x in row])
+    nrows, ncols = len(m), len(m[0])
+    r, prev = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            mic, mrc = m[i][c], m[r][c]
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * mrc - mic * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Low-rank products, padded with zero rows and duplicated rows, in wide
+    and tall shapes; sparse entries are common."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 8))
+    inner = draw(st.integers(1, 8))
+    sparse = st.one_of(st.just(0), entries)
+    a = draw(st.lists(st.lists(sparse, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(sparse, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+    rows = mat_mul(a, b)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_matches_gauss_and_bareiss(rows):
+    expected = naive_rank(rows)
+    assert rank(rows) == expected
+    assert bareiss_rank(rows) == expected
+    transposed = [list(col) for col in zip(*rows)]
+    assert rank(transposed) == expected
+
+
+def test_rank_edge_shapes():
+    assert rank([]) == 0
+    assert rank([[]]) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert rank([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 1
+    assert rank([[1, 0, 0, 5], [2, 0, 0, 10], [0, 0, 7, 0]]) == 2
+    assert rank([[x] for x in (0, 3, Fraction(-1, 2))]) == 1
+
+
+def test_rank_leaves_rows_unchanged():
+    rows = [[2, 4, Fraction(1, 2)], [1, 2, Fraction(1, 4)], [0, 0, 1]]
+    copy = [list(r) for r in rows]
+    assert rank(rows) == 2
+    assert rows == copy
+
+
+def test_cyclic512_elevation_orbit_rank():
+    # a 512 x 1025 orbit matrix with about one nonzero a row, the shape the
+    # sparse elimination is built for
+    G = builtin_group("cyclic", 512)
+    Y = make_cover(G, standard_images(G, 3))
+    B = cycle_basis(Y)
+    assert elevation_rank_obstruction(Y, B, Word.from_string("a3")).orbit_rank == 512

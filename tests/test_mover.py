@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import islice
 
 import pytest
 
@@ -26,6 +27,7 @@ from coverslide import (
     petal_complement_components,
     verify_certificate,
 )
+from coverslide import mover
 from coverslide.linalg import mat_vec, vec_is_zero
 
 from helpers import unit_vector
@@ -150,6 +152,16 @@ def test_find_loop_deterministic(klein_n3_cover, klein_n3_basis):
     assert a == b
 
 
+def test_candidate_entries_stay_within_cap():
+    # the random phase doubles its entry bound each round, up to the cap
+    m = 3
+    prefix = m + 3 + 1  # unit vectors, then weight-2 and weight-3 supports
+    rounds = 20  # 2**20 would exceed the cap many times over
+    stream = mover._candidate_vectors(m, seed=0)
+    randoms = list(islice(stream, prefix + rounds * mover._RANDOM_ROUND))[prefix:]
+    assert max(abs(x) for c in randoms for x in c) == mover._MAX_RANDOM_BOUND
+
+
 # --- move_vector -------------------------------------------------------------------
 
 
@@ -211,6 +223,13 @@ def test_move_poisoned_cache_raises_certificate_failed(klein_n3_cover, klein_n3_
     with pytest.raises(CertificateFailed, match="property 3") as info:
         move_vector(Y, B, v, loop_cache={j: poisoned})
     assert "property 3" in info.value.failures
+
+
+@pytest.mark.parametrize("depth", [0, -5, mover.MAX_ITERATE_DEPTH + 1])
+def test_move_rejects_depth_out_of_range(cyclic3_cover, depth):
+    B = cycle_basis(cyclic3_cover)
+    with pytest.raises(ValueError, match="depth"):
+        move_vector(cyclic3_cover, B, unit_vector(B.rank, 0), depth=depth)
 
 
 def test_move_with_and_without_cache_identical(klein_n3_cover, klein_n3_basis):
@@ -292,6 +311,18 @@ def test_verify_rejects_wrong_orbit_rank_claim(klein_n3_cover, klein_n3_basis):
     check = verify_certificate(Y, B, v, bad)
     assert not check
     assert "property 3" in check.failures
+
+
+@pytest.mark.parametrize("depth", [0, -5, mover.MAX_ITERATE_DEPTH + 1])
+def test_verify_rejects_depth_out_of_range(cyclic3_cover, depth):
+    # zero or negative depth would check no iterate at all
+    Y = cyclic3_cover
+    B = cycle_basis(Y)
+    v = unit_vector(B.rank, 0)
+    bad = dataclasses.replace(move_vector(Y, B, v), iterates_checked=depth)
+    check = verify_certificate(Y, B, v, bad)
+    assert not check
+    assert check.failures == ("iterate closed form",)
 
 
 # --- certificate JSON ----------------------------------------------------------------
