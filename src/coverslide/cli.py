@@ -6,9 +6,8 @@ JSON file with a multiplication table), ``--n`` and ``--images`` (element
 indices or labels).  Output is human-readable by default, JSON with
 ``--json``; all runs are deterministic given the flags and ``--seed``.
 
-``move --vector`` takes comma-separated rationals; a negative first
-coordinate needs the ``--vector=-1,0,...`` form, because argparse reads
-``--vector -1,...`` as an option.  ``--depth`` must be in
+``move --vector`` takes comma-separated rationals, also with a negative
+first coordinate (``--vector -1,0,...``).  ``--depth`` must be in
 1..``mover.MAX_ITERATE_DEPTH``.
 
 Exit codes: 0 success, 1 failed verification or selftest (for ``move``: the
@@ -22,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -509,9 +509,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--vector -1,0,...`` as ``--vector=-1,0,...``: argparse takes
+    a value that starts with ``-`` and is not a plain number for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--vector" and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"--vector={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except Disconnected as exc:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
-from .groups import FiniteGroup, left_cosets, subgroup_generated
+from .groups import FiniteGroup, closure, left_cosets, subgroup_generated
 
 Letter = tuple[int, int]  # (petal index, +1 or -1)
 Edge = tuple[int, int]  # (tail vertex = group element index, petal index)
@@ -303,17 +302,54 @@ def petal_complement_components(Y: CoverGraph, j: int) -> list[ComponentSubgraph
 def standard_images(group: FiniteGroup, n: int) -> tuple[int, ...] | None:
     """A canonical surjective images tuple for an n-petal rose, or None.
 
-    Searches generating sets of size 1, 2, ... in lexicographic order and pads
-    with the identity, so the choice is deterministic.
+    The answer is the lexicographically first generating set of the smallest
+    size k <= n, padded with the identity, so the choice is deterministic.  It
+    is found by a depth-first search over increasing elements, for k = 1, 2,
+    ..., that grows the subgroup ``H`` generated by the chosen prefix one
+    element at a time.  Each prune skips only branches that hold no generating
+    set of size k lexicographically before the first one, so the answer is
+    that of a scan over all k-subsets:
+
+    * an element of ``H`` is skipped: a smallest generating set is irredundant;
+    * an element of ``<H, g'>`` for an earlier sibling ``g'`` whose branch
+      failed is skipped: any completion of it would also complete ``g'``;
+    * a ``(H, budget)`` pair met before is skipped: a completion of the new
+      prefix would also complete the earlier prefix, or a shorter one, to a
+      generating set that comes first.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if group.order == 1:
+    m = group.order
+    if m == 1:
         return (0,) * n
+    mul = group.mul
+    seen: set[tuple[frozenset, int]] = set()
+
+    def search(H: frozenset, gens: list[int], start: int, budget: int) -> list[int] | None:
+        # the first increasing T in start..m-1 with |T| = budget and <H, T> = G
+        if (H, budget) in seen:
+            return None
+        seen.add((H, budget))
+        covered = set(H)
+        for g in range(start, m - budget + 1):
+            if g in covered:
+                continue
+            extended = gens + [g]
+            K = closure(mul, extended, H)
+            if budget == 1:
+                if len(K) == m:
+                    return [g]
+            else:
+                found = search(frozenset(K), extended, g + 1, budget - 1)
+                if found is not None:
+                    return [g] + found
+            covered |= K
+        return None
+
     for k in range(1, n + 1):
-        for combo in combinations(range(1, group.order), k):
-            if len(subgroup_generated(group, combo)) == group.order:
-                return combo + (0,) * (n - k)
+        found = search(frozenset((0,)), [], 1, k)
+        if found is not None:
+            return tuple(found) + (0,) * (n - k)
     return None
 
 

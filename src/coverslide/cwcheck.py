@@ -7,10 +7,15 @@ everywhere else, which :func:`verify_chevalley_weil` tests exactly.
 
 For deck groups of exponent 2 (all characters rational, +-1 valued) the
 isotypic decomposition is computed explicitly via the averaging projectors
-(1/|G|) sum chi(g) rho(g).  Elevations — closed lifts of w^k where k is the
-order of w's image — and the rank obstruction they satisfy are also provided:
-the preimage of a loop with nontrivial image has fewer than |G| components,
-so its elevation classes can never span a full-rank orbit.
+(1/|G|) sum chi(g) rho(g).  Each deck matrix's nonzeros are read once and
+summed per character, so the work follows the nonzeros (a few per column)
+rather than |G| r^2 cells per character; each dimension is the exact rank of
+the integer sum, which equals the projector's rank.
+
+Elevations — closed lifts of w^k where k is the order of w's image — and the
+rank obstruction they satisfy are also provided: the preimage of a loop with
+nontrivial image has fewer than |G| components, so its elevation classes can
+never span a full-rank orbit.
 """
 
 from __future__ import annotations
@@ -107,28 +112,26 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
 
     The characters are ordered with the trivial one first, then by the sign
     pattern on a fixed greedy basis of the group; each is reported as its
-    value tuple over all group elements.
+    value tuple over all group elements.  Projector entries are Fractions,
+    except that zero entries are int 0.
     """
     chars = _exponent_two_characters(Y)
-    order = Y.group.order
-    rho = {g: deck_action_matrix(Y, B, g) for g in Y.group.elements()}
-    scale = Fraction(1, order)
+    order, r = Y.group.order, B.rank
+    # each deck matrix's nonzeros, extracted once and shared by all characters
+    nonzeros = []
+    for g in Y.group.elements():
+        m = deck_action_matrix(Y, B, g)
+        nonzeros.append([(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x])
     dims = {}
     projectors = {}
     for chi in chars:
-        acc = linalg.mat_zero(B.rank, B.rank)
-        for g in Y.group.elements():
-            coef = chi[g]
-            m = rho[g]
-            for row in range(B.rank):
-                ar = acc[row]
-                mr = m[row]
-                for col in range(B.rank):
-                    if mr[col] != 0:
-                        ar[col] = ar[col] + coef * mr[col]
-        proj = linalg.mat_scale(scale, acc)
-        projectors[chi] = proj
-        dims[chi] = linalg.rank(proj)
+        acc = linalg.mat_zero(r, r)
+        for coef, entries in zip(chi, nonzeros):
+            for i, j, x in entries:
+                acc[i][j] += coef * x
+        # the integer sum has the rank of the projector acc / |G|
+        dims[chi] = linalg.rank(acc)
+        projectors[chi] = [[Fraction(x, order) if x else 0 for x in row] for row in acc]
     return IsotypicReport(characters=tuple(chars), dims=dims, projectors=projectors)
 
 

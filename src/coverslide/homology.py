@@ -188,6 +188,12 @@ def _coords(B: HomologyBasis, z: Mapping[Edge, Rational]) -> list:
     return [z.get(e, 0) for e in B.cotree]
 
 
+def _sparse_coords(B: HomologyBasis, z: Mapping[Edge, Rational]) -> dict[int, Rational]:
+    # the nonzero entries of _coords(B, z), as cotree index -> coefficient
+    index = B.cotree_index
+    return {index[e]: c for e, c in z.items() if c and e in index}
+
+
 def chain_to_class(B: HomologyBasis, z: Mapping[Edge, Rational]) -> list:
     """Coordinates of a cycle in the fundamental-cycle basis.
 
@@ -240,8 +246,7 @@ def orbit_rank_of_chain(
     """Rank of the span of the deck translates of a cycle's class."""
     if elements is None:
         elements = Y.group.elements()
-    rows = [_coords(B, translate_chain(Y, g, z)) for g in elements]
-    return linalg.rank(rows)
+    return linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
 
 
 def orbit_rank(
@@ -273,8 +278,8 @@ def inclusion_rank_test(
         Bc = component_basis(comp)
         ranks.append(Bc.rank)
         for zk in Bc.cycles:
-            rows.append(_coords(B, zk))
-    combined = linalg.rank(rows)
+            rows.append(_sparse_coords(B, zk))
+    combined = linalg.sparse_rank(rows)
     return InclusionReport(
         injective=combined == sum(ranks),
         component_ranks=tuple(ranks),

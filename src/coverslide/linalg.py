@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 Vector = list
@@ -45,10 +45,6 @@ def mat_zero(rows: int, cols: int) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Rational, a: Matrix) -> Matrix:
-    return [vec_scale(c, row) for row in a]
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -93,22 +89,23 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> Iterator[dict[int, int]]:
-    """Each row's nonzeros as ``col -> int``, denominators cleared (rank is unchanged)."""
-    for row in rows:
-        nonzero = {c: x for c, x in enumerate(row) if x}
-        den = lcm(*(x.denominator for x in nonzero.values()))
-        yield {c: int(x * den) for c, x in nonzero.items()}
-
-
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank over Q of the row span, via sparse integer elimination.
+    """Exact rank over Q of the row span of a matrix given as a list of rows."""
+    return sparse_rank({c: x for c, x in enumerate(row) if x} for row in rows)
 
-    Each cleared row, a dict ``col -> int`` of its nonzeros, is reduced
-    against the pivot row of its leading column (``v <- a*v - b*p``, then
-    divided by its content gcd) until it is zero or becomes a new pivot."""
+
+def sparse_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
+    """Exact rank over Q of rows given as ``col -> value`` maps, via sparse
+    integer elimination.
+
+    Each row's denominators are cleared, and the resulting dict of nonzero
+    ints is reduced against the pivot row of its leading column
+    (``v <- a*v - b*p``, then divided by its content gcd) until it is zero or
+    becomes a new pivot.  The input rows are not modified."""
     pivots: dict[int, dict[int, int]] = {}
-    for v in _integer_rows(rows):
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        v = {c: int(x * den) for c, x in row.items() if x}
         while v:
             lead = min(v)
             p = pivots.get(lead)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coverslide
 from coverslide import CertificateCheck, builtin_group, group_to_json, mover
 from coverslide.cli import main
@@ -153,6 +155,20 @@ def test_move_klein_basis_vector(tmp_path, capsys):
     cert = json.loads(out_path.read_text())
     assert cert["orbit_rank"] == 4
     assert cert["verified"] is True
+
+
+def test_move_negative_vector_both_forms(capsys):
+    move = ["move", "--group", "elementary_abelian:2,2", "--images", "1,2,0", "--json"]
+    for vector in ("-1,0,0,0,0,0,0,0,0", "-1/2,0,0,0,0,0,0,0,1"):
+        attached = run(capsys, *move, f"--vector={vector}")
+        separate = run(capsys, *move, "--vector", vector)
+        assert attached[0] == 0
+        assert separate == attached
+    # an option after --vector is still an option, not a value
+    with pytest.raises(SystemExit) as exc:
+        main([*move, "--vector", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_move_vector_word(capsys):

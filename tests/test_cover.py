@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverslide import (
     CoverSpec,
@@ -7,9 +9,11 @@ from coverslide import (
     Word,
     build_cover,
     builtin_group,
+    builtin_group_from_string,
     concat_paths,
     deck_translate_path,
     free_reduce,
+    from_mul_table,
     lift_word,
     make_cover,
     path_end,
@@ -253,6 +257,86 @@ def test_standard_images_symmetric4_pair():
     imgs = standard_images(G, 2)
     assert imgs is not None
     assert len(subgroup_generated(G, imgs)) == 24
+
+
+def scan_standard_images(group, n):
+    """The lexicographic scan over all k-subsets, k = 1, 2, ..., n."""
+    if group.order == 1:
+        return (0,) * n
+    for k in range(1, n + 1):
+        for combo in combinations(range(1, group.order), k):
+            if len(subgroup_generated(group, combo)) == group.order:
+                return combo + (0,) * (n - k)
+    return None
+
+
+def test_standard_images_matches_scan():
+    specs = (
+        "trivial", "cyclic:2", "cyclic:6", "cyclic:12", "elementary_abelian:2,2",
+        "elementary_abelian:2,3", "elementary_abelian:2,4", "elementary_abelian:3,2",
+        "elementary_abelian:3,3", "dihedral:3", "dihedral:4", "dihedral:6",
+        "symmetric:3", "symmetric:4",
+    )
+    answers = []
+    for spec in specs:
+        G = builtin_group_from_string(spec)
+        for n in range(2, 6):
+            expected = scan_standard_images(G, n)
+            assert standard_images(G, n) == expected, (spec, n)
+            answers.append(expected)
+    assert None in answers
+
+
+def product_table(*specs):
+    """The multiplication table of a direct product of builtin groups."""
+    table = [[0]]
+    for spec in specs:
+        G = builtin_group_from_string(spec)
+        m = G.order
+        table = [
+            [table[x1][y1] * m + G.mul[x2][y2] for y1 in range(len(table)) for y2 in range(m)]
+            for x1 in range(len(table))
+            for x2 in range(m)
+        ]
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        (
+            ("symmetric:4",),
+            ("dihedral:6",),
+            ("elementary_abelian:3,2",),
+            ("dihedral:4", "cyclic:2"),
+            ("cyclic:4", "elementary_abelian:2,2"),
+            ("dihedral:3", "cyclic:4"),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_standard_images_matches_scan_relabeled(specs, rng):
+    # a random relabeling moves the lexicographically first generating set, so
+    # the search meets failed siblings and repeated subgroups before it; the
+    # products have minimal generating sets of size 2 or 3 that greedy choice
+    # can miss
+    table = product_table(*specs)
+    m = len(table)
+    perm = [0] + rng.sample(range(1, m), m - 1)
+    relabeled = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            relabeled[perm[x]][perm[y]] = perm[table[x][y]]
+    G = from_mul_table(relabeled)
+    for n in range(2, 5):
+        assert standard_images(G, n) == scan_standard_images(G, n), (specs, perm, n)
+
+
+def test_standard_images_elementary_abelian_2_6():
+    # a minimal generating set of size 6 among 63 elements; the scan over all
+    # subsets of size <= 6 takes minutes
+    G = builtin_group("elementary_abelian", 2, 6)
+    assert standard_images(G, 6) == (1, 2, 4, 8, 16, 32)
 
 
 def test_dot_export(mod2_cover):

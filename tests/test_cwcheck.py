@@ -27,6 +27,8 @@ from coverslide.linalg import (
     mat_is_zero,
     mat_mul,
     mat_vec,
+    matrix_to_json,
+    rank,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -131,6 +133,39 @@ def test_isotypic_dims_formula_ea23():
     assert dims[0] == 3
     assert dims[1:] == [2] * 7
     assert sum(dims) == B.rank
+
+
+def dense_isotypic(Y, B, chars):
+    """Projectors (1/|G|) sum chi(g) rho(g) summed cell by cell over dense
+    deck matrices, and their ranks."""
+    scale = Fraction(1, Y.group.order)
+    rho = [deck_action_matrix(Y, B, g) for g in Y.group.elements()]
+    dims, projectors = {}, {}
+    for chi in chars:
+        acc = [[0] * B.rank for _ in range(B.rank)]
+        for g in Y.group.elements():
+            for i in range(B.rank):
+                for j in range(B.rank):
+                    acc[i][j] += chi[g] * rho[g][i][j]
+        projectors[chi] = [[scale * x for x in row] for row in acc]
+        dims[chi] = rank(projectors[chi])
+    return dims, projectors
+
+
+def test_isotypic_matches_dense_accumulation():
+    checked = 0
+    for name, Y, B in battery_covers():
+        try:
+            iso = isotypic_decomposition(Y, B)
+        except UnsupportedGroup:
+            continue
+        dims, projectors = dense_isotypic(Y, B, iso.characters)
+        assert iso.dims == dims, name
+        assert iso.projectors == projectors, name
+        for chi in iso.characters:
+            assert matrix_to_json(iso.projectors[chi]) == matrix_to_json(projectors[chi]), name
+        checked += 1
+    assert checked == 11
 
 
 def test_isotypic_unsupported(cyclic3_cover):

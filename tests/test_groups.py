@@ -206,3 +206,58 @@ def test_group_json_round_trip():
 def test_json_missing_table():
     with pytest.raises(NotAGroup):
         group_from_json({"order": 2})
+
+
+def normalized_latin_squares(m):
+    """Every m x m Latin square whose first row and column are 0..m-1."""
+    rows = [list(range(m))] + [[r] + [None] * (m - 1) for r in range(1, m)]
+    in_row = [{r} for r in range(m)]
+    in_col = [{c} for c in range(m)]
+    cells = [(r, c) for r in range(1, m) for c in range(1, m)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [list(row) for row in rows]
+            return
+        r, c = cells[k]
+        for v in range(m):
+            if v not in in_row[r] and v not in in_col[c]:
+                rows[r][c] = v
+                in_row[r].add(v)
+                in_col[c].add(v)
+                yield from fill(k + 1)
+                in_row[r].discard(v)
+                in_col[c].discard(v)
+
+    yield from fill(0)
+
+
+def first_associativity_failure(table):
+    """The full O(m^3) sweep: the lexicographically first failing (x, y, z)."""
+    m = len(table)
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def test_light_test_exhaustive_small_latin_squares():
+    # Light's test over a generating set must agree with the full sweep on
+    # every loop of order <= 6, and report the same witness
+    counts = []
+    for m in range(1, 7):
+        count = 0
+        for table in normalized_latin_squares(m):
+            count += 1
+            witness = first_associativity_failure(table)
+            if witness is None:
+                assert from_mul_table(table).mul == tuple(map(tuple, table))
+                continue
+            with pytest.raises(NotAGroup) as exc:
+                from_mul_table(table)
+            message = str(exc.value)
+            assert "inverse" in message or message == "associativity fails at (%d, %d, %d)" % witness
+        counts.append(count)
+    assert counts == [1, 1, 1, 4, 56, 9408]  # OEIS A000315

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
 from coverslide.cwcheck import elevation_rank_obstruction
-from coverslide.linalg import mat_mul, rank
+from coverslide.linalg import mat_mul, rank, sparse_rank
 
 
 def naive_rank(rows):
@@ -84,6 +84,9 @@ def test_rank_matches_gauss_and_bareiss(rows):
     assert bareiss_rank(rows) == expected
     transposed = [list(col) for col in zip(*rows)]
     assert rank(transposed) == expected
+    # sparse rows: nonzeros only, and with explicit zeros kept
+    assert sparse_rank({c: x for c, x in enumerate(row) if x} for row in rows) == expected
+    assert sparse_rank([dict(enumerate(row)) for row in transposed]) == expected
 
 
 def test_rank_edge_shapes():
@@ -100,6 +103,10 @@ def test_rank_leaves_rows_unchanged():
     copy = [list(r) for r in rows]
     assert rank(rows) == 2
     assert rows == copy
+    sparse = [{0: 2, 1: 4, 2: Fraction(1, 2)}, {0: 1, 1: 2, 2: Fraction(1, 4)}, {2: 1}]
+    sparse_copy = [dict(r) for r in sparse]
+    assert sparse_rank(sparse) == 2
+    assert sparse == sparse_copy
 
 
 def test_cyclic512_elevation_orbit_rank():
