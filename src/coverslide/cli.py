@@ -23,6 +23,7 @@ import json
 import random
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import linalg
@@ -175,9 +176,35 @@ def _parse_vector(args: argparse.Namespace, Y: CoverGraph, B: HomologyBasis) -> 
     raise ConfigError("a vector is required: --vector or --vector-word")
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
+    lists, tuples, str and JSON scalars, without the pure-Python encoder that
+    ``indent`` selects: a list of strings is one join of the C string
+    encoder, and scalars go through ``json.dumps``."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (f"{_encode_str(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(_encode_str, obj))
+        except TypeError:  # not a list of strings
+            body = sep.join(_dumps(x, inner) for x in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in human_lines:
             print(line)
@@ -230,7 +257,7 @@ def cmd_move(args: argparse.Namespace) -> int:
     payload = certificate_to_json(cert, Y)
     payload["verified"] = True
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        Path(args.out).write_text(_dumps(payload))
     _emit(
         args,
         payload,

@@ -141,7 +141,8 @@ def parse_rational(s: str) -> Rational:
 
 
 def vector_to_json(v: Sequence) -> list[str]:
-    return [format_rational(x) for x in v]
+    # for int and Fraction, str is format_rational's text
+    return list(map(str, v))
 
 
 def matrix_to_json(a: Matrix) -> list[list[str]]:

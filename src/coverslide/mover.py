@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import chain, combinations, islice
+from math import lcm
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -48,6 +50,8 @@ MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
 # keeps the exponents of a late random success, and so the loop word, bounded
 _MAX_RANDOM_BOUND = 1 << 10
+# the value types for which the iterate check may clear v's denominators
+_EXACT = (int, Fraction)
 
 
 class ZeroVector(ValueError):
@@ -237,7 +241,11 @@ def verify_certificate(
     """Recheck every certificate invariant from scratch.
 
     Returns ok=False with the list of failed checks rather than raising, so
-    tampered certificates can be diagnosed.
+    tampered certificates can be diagnosed.  The iterate check steps the
+    certificate's own matrix ``iterates_checked`` times along each row's
+    nonzeros, on ``den * v`` with ``den`` the lcm of v's denominators, and
+    compares every step with ``den * (v + d * increment)``; the map is linear,
+    so this is the same exact check as on v itself, in integers.
     """
     failures: list[str] = []
     order = Y.group.order
@@ -282,27 +290,54 @@ def verify_certificate(
         failures.append("matrix vs formula")
 
     if 1 <= cert.iterates_checked <= MAX_ITERATE_DEPTH and len(cert.matrix) == B.rank == len(v):
-        w = v
-        seen = {tuple(w)}
-        iterates_ok = True
-        for d in range(1, cert.iterates_checked + 1):
-            w = linalg.mat_vec(cert.matrix, w)
-            expected = [a + d * b for a, b in zip(v, cert.increment)]
-            if w != expected:
-                iterates_ok = False
-                break
-            key = tuple(w)
-            if key in seen:
-                failures.append("iterates distinct")
-                iterates_ok = False
-                break
-            seen.add(key)
-        if not iterates_ok and "iterates distinct" not in failures:
-            failures.append("iterate closed form")
+        failure = _iterate_failure(cert, v)
+        if failure:
+            failures.append(failure)
     else:
         failures.append("iterate closed form")
 
     return CertificateCheck(ok=not failures, failures=tuple(failures))
+
+
+def _iterate_failure(cert: MoveCertificate, v: list) -> str | None:
+    """The first failed iterate check (``"iterate closed form"`` or
+    ``"iterates distinct"``), or None.
+
+    Reads each matrix row as ``mat_vec`` does: columns past ``len(v)`` are
+    ignored and a short row ends early.  v and the increment are scaled by
+    ``den`` only when they and the matrix nonzeros are all int or Fraction;
+    with a float anywhere the arithmetic is that on v itself."""
+    r = len(v)
+    rows = [[(c, x) for c, x in enumerate(islice(row, r)) if x] for row in cert.matrix]
+    base, step = v, list(cert.increment)
+    if all(type(x) in _EXACT for x in chain(v, step, (x for row in rows for _, x in row))):
+        den = lcm(*(a.denominator for a in v))
+        base = [_as_int_if_integral(den * a) for a in v]
+        step = [_as_int_if_integral(den * b) for b in step]
+    w = base
+    seen = {tuple(w)}
+    for d in range(1, cert.iterates_checked + 1):
+        nxt = []
+        for row in rows:
+            acc = 0
+            for c, x in row:
+                y = w[c]
+                if y:
+                    acc += x * y
+            nxt.append(acc)
+        w = nxt
+        if w != [a + d * b for a, b in zip(base, step)]:
+            return "iterate closed form"
+        key = tuple(w)
+        if key in seen:
+            return "iterates distinct"
+        seen.add(key)
+    return None
+
+
+def _as_int_if_integral(x):
+    # keeps the iterate arithmetic in ints: den * Fraction is a Fraction
+    return x.numerator if x.denominator == 1 else x
 
 
 def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> dict:

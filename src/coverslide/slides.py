@@ -153,11 +153,8 @@ def lifted_action_oracle(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis) 
     and re-expressed in coordinates.
     """
     _lift_chain_or_raise(s, Y)
-    edge_image: dict = {}
-    for e in Y.edges():
-        g, i = e
-        wi = apply_automorphism(s, Word.generator(i))
-        edge_image[e] = chain_of_path(lift_word(Y, wi, g))
+    images = {i: apply_automorphism(s, Word.generator(i)) for i in range(1, Y.n + 1)}
+    edge_image = {e: chain_of_path(lift_word(Y, images[e[1]], e[0])) for e in Y.edges()}
     cols = []
     for zk in B.cycles:
         img: Chain1 = {}

@@ -1,0 +1,81 @@
+"""The CLI's JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coverslide import cli
+
+KEYS = st.sampled_from(["10", "2", "1", "", "a", "B", "é", '"', "\\"]) | st.text(max_size=6)
+TEXT = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀", "/"]) | st.text()
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+
+
+def dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(TEXT, max_size=5)
+        | st.tuples(inner, inner)
+        | st.dictionaries(KEYS, inner, max_size=5),
+        max_leaves=30,
+    )
+)
+def test_writer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == dumps(obj)
+
+
+def test_writer_edge_values():
+    for obj in ({}, [], [[]], {"a": {}}, [[], {}], ["x", 1], [1, "x"], {"10": 1, "2": [True, None]}):
+        assert cli._dumps(obj) == dumps(obj)
+
+
+def test_writer_raises_rather_than_diverging():
+    # what json.dumps rejects, and non-str keys, which it would convert
+    for obj in ([object()], ["a", Fraction(1, 2)], {"a": {"b": object()}}, {1: "a"}, [{2: 0}]):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+
+PAYLOAD_RUNS = {
+    "build": ["build", "--group", "dihedral:4", "--n", "2"],
+    "verify-cw": ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "3"],
+    "verify-cw cyclic": ["verify-cw", "--group", "cyclic:12", "--n", "3"],
+    "move": ["move", "--group", "elementary_abelian:2,2", "--n", "3",
+             "--vector=-1/2,0,3/4,0,0,0,0,0,7"],
+    "slide": ["slide", "--group", "elementary_abelian:2,2", "--n", "3", "--petal", "1",
+              "--ell", "a2.a2"],
+}
+
+
+@pytest.mark.parametrize("argv", PAYLOAD_RUNS.values(), ids=PAYLOAD_RUNS.keys())
+def test_cli_payloads_match_json_dumps(argv, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(args, payload, human_lines):
+        payloads.append(payload)
+        emit(args, payload, human_lines)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    assert cli.main([*argv, "--json"]) == 0
+    (payload,) = payloads
+    assert capsys.readouterr().out == dumps(payload) + "\n"
+    if argv[0] == "verify-cw" and "elementary_abelian" in argv[2]:
+        assert payload["isotypic"]["projectors"]
+
+
+def test_move_out_file_is_stdout(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    argv = ["move", "--group", "cyclic:5", "--n", "3", "--vector-word", "a3", "--json"]
+    assert cli.main([*argv, "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert out_path.read_bytes() == out[:-1].encode()

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -338,3 +339,111 @@ def test_certificate_json(klein_n3_cover, klein_n3_basis):
     assert data["cover"] == {"group_order": 4, "n": 3, "images": [1, 2, 0]}
     assert len(data["matrix"]) == B.rank
     assert Word.from_string(data["ell"]) == cert.ell
+
+
+# --- iterate check against the dense loop ------------------------------------------------
+
+
+def dense_mat_vec(a, v):
+    """The dense ``mat_vec`` the verifier stepped before: zip over each row."""
+    out = []
+    for row in a:
+        acc = 0
+        for x, y in zip(row, v):
+            if x != 0 and y != 0:
+                acc += x * y
+        out.append(acc)
+    return out
+
+
+def dense_iterate_failure(cert, v):
+    """The verifier's former iterate check: ``depth`` dense steps on v."""
+    w = v
+    seen = {tuple(w)}
+    for d in range(1, cert.iterates_checked + 1):
+        w = dense_mat_vec(cert.matrix, w)
+        if w != [a + d * b for a, b in zip(v, cert.increment)]:
+            return "iterate closed form"
+        key = tuple(w)
+        if key in seen:
+            return "iterates distinct"
+        seen.add(key)
+    return None
+
+
+def _with_row(cert, i, edit):
+    matrix = [row[:] for row in cert.matrix]
+    matrix[i] = edit(matrix[i])
+    return dataclasses.replace(cert, matrix=matrix)
+
+
+def _with_increment(cert, edit):
+    return dataclasses.replace(cert, increment=edit(list(cert.increment)))
+
+
+def _set(row, j, x):
+    row[j] = x
+    return row
+
+
+def _tampered(cert):
+    """(name, certificate) pairs: the certificate and tampered copies of it."""
+    r = len(cert.matrix)
+    # a row the slide moves: it has an off-diagonal nonzero
+    moved = next(i for i, row in enumerate(cert.matrix) if sum(map(bool, row)) > 1)
+    out = [("as built", cert)]
+    for i in (0, moved, r - 1):
+        out += [
+            (f"extra column in row {i}", _with_row(cert, i, lambda row: row + [7])),
+            (f"short row {i}", _with_row(cert, i, lambda row: row[:-1])),
+            (f"empty row {i}", _with_row(cert, i, lambda row: [])),
+        ]
+        for j in (0, moved, r - 1):
+            wrong = _with_row(cert, i, lambda row: _set(row, j, row[j] + 1))
+            out.append((f"entry ({i}, {j}) + 1", wrong))
+    out += [
+        ("float entries", _with_row(cert, moved, lambda row: [float(x) for x in row])),
+        ("fractional entry", _with_row(cert, moved, lambda row: _set(row, moved, Fraction(1, 2)))),
+        ("increment halved", _with_increment(cert, lambda inc: [Fraction(x, 2) for x in inc])),
+        ("increment as floats", _with_increment(cert, lambda inc: [float(x) for x in inc])),
+        ("increment short", _with_increment(cert, lambda inc: inc[:-1])),
+        ("increment long", _with_increment(cert, lambda inc: inc + [1])),
+        ("identity, zero increment", dataclasses.replace(
+            cert, matrix=[[int(i == j) for j in range(r)] for i in range(r)], increment=[0] * r)),
+    ]
+    for k in (0, moved):
+        for delta in (1, Fraction(1, 3)):
+            wrong = _with_increment(cert, lambda inc: _set(inc, k, inc[k] + delta))
+            out.append((f"increment[{k}] + {delta}", wrong))
+    for depth in (1, mover.MAX_ITERATE_DEPTH):
+        out.append((f"depth {depth}", dataclasses.replace(cert, iterates_checked=depth)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, -2, 0, 0, 3, 0, 0, 0, 1],
+        [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, Fraction(7, 3)],
+        [Fraction(2, 3), 1, 0, 0, 0, 0, 0, 0, 0],
+    ],
+    ids=["unit", "integer", "p/q", "mixed"],
+)
+def test_iterate_check_matches_dense_loop(klein_n3_cover, klein_n3_basis, monkeypatch, v):
+    """On the certificate and tampered copies of it, with v as built and as
+    floats, the verifier returns exactly what it returned with the dense loop,
+    and never raises."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    cert = move_vector(Y, B, v)
+    cases = []
+    for name, c in _tampered(cert):
+        cases.append((name, c, v))
+        cases.append((f"{name}, float v", c, [float(x) for x in v]))
+    new = [verify_certificate(Y, B, u, c) for _, c, u in cases]
+    monkeypatch.setattr(mover, "_iterate_failure", dense_iterate_failure)
+    for (name, c, u), got in zip(cases, new):
+        assert got == verify_certificate(Y, B, u, c), name
+    assert new[0].ok
+    failures = {f for check in new for f in check.failures}
+    assert {"iterate closed form", "iterates distinct"} <= failures
