@@ -129,19 +129,22 @@ def sparse_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
 
 
 def format_rational(x: Rational) -> str:
-    """Render ``3`` or ``-3/4``; integers never pick up a denominator."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
+    """Render ``3`` or ``-3/4`` with ``str``: an int or a Fraction with
+    denominator 1 never picks up a denominator, and a float keeps its digits."""
+    return str(x)
+
+
+def int_if_integral(x: Rational) -> Rational:
+    """An int for an integral int or Fraction; any other Fraction unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def parse_rational(s: str) -> Rational:
-    f = Fraction(s.strip())
-    return int(f) if f.denominator == 1 else f
+    return int_if_integral(Fraction(s.strip()))
 
 
 def vector_to_json(v: Sequence) -> list[str]:
-    # for int and Fraction, str is format_rational's text
+    # format_rational, with the call inlined for speed
     return list(map(str, v))
 
 

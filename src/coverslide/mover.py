@@ -312,8 +312,9 @@ def _iterate_failure(cert: MoveCertificate, v: list) -> str | None:
     base, step = v, list(cert.increment)
     if all(type(x) in _EXACT for x in chain(v, step, (x for row in rows for _, x in row))):
         den = lcm(*(a.denominator for a in v))
-        base = [_as_int_if_integral(den * a) for a in v]
-        step = [_as_int_if_integral(den * b) for b in step]
+        # ints, not Fractions with denominator 1: den * Fraction is a Fraction
+        base = [linalg.int_if_integral(den * a) for a in v]
+        step = [linalg.int_if_integral(den * b) for b in step]
     w = base
     seen = {tuple(w)}
     for d in range(1, cert.iterates_checked + 1):
@@ -333,11 +334,6 @@ def _iterate_failure(cert: MoveCertificate, v: list) -> str | None:
             return "iterates distinct"
         seen.add(key)
     return None
-
-
-def _as_int_if_integral(x):
-    # keeps the iterate arithmetic in ints: den * Fraction is a Fraction
-    return x.numerator if x.denominator == 1 else x
 
 
 def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> dict:

@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
 from coverslide.cwcheck import elevation_rank_obstruction
-from coverslide.linalg import mat_mul, rank, sparse_rank
+from coverslide.linalg import (
+    format_rational,
+    mat_mul,
+    matrix_to_json,
+    parse_rational,
+    rank,
+    sparse_rank,
+    vector_to_json,
+)
 
 
 def naive_rank(rows):
@@ -116,3 +124,14 @@ def test_cyclic512_elevation_orbit_rank():
     Y = make_cover(G, standard_images(G, 3))
     B = cycle_basis(Y)
     assert elevation_rank_obstruction(Y, B, Word.from_string("a3")).orbit_rank == 512
+
+
+def test_one_text_for_a_rational():
+    values = [0, 3, -3, Fraction(-3, 4), Fraction(6, 2), 0.5, -2.75]
+    text = ["0", "3", "-3", "-3/4", "3", "0.5", "-2.75"]
+    assert [format_rational(x) for x in values] == text
+    assert vector_to_json(values) == text
+    assert matrix_to_json([values, values]) == [text, text]
+    parsed = [parse_rational(t) for t in text[:5]]
+    assert parsed == values[:5]
+    assert [type(x) for x in parsed] == [int, int, int, Fraction, int]
