@@ -287,7 +287,8 @@ def cmd_slide(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     payload = lifted_slide_to_json(L)
     lines = [f"petal={s.j} ell={ell.to_string()!r} rank={B.rank}"]
-    lines.extend(" ".join(linalg.format_rational(x) for x in row) for row in L.matrix)
+    # the JSON rows are each entry's format_rational text
+    lines.extend(" ".join(row) for row in payload["matrix"])
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -407,7 +408,7 @@ def _suite_slides(covers, rng) -> str:
             j, ell = jw
             s = make_slide(Y.n, j, ell)
             L = lifted_action_formula(s, Y, B)
-            _check(lifted_action_oracle(s, Y, B) == L.matrix, "formula != oracle")
+            _check(lifted_action_oracle(s, Y, B) == L.columns, "formula != oracle")
             delta = mat_sub(L.matrix, mat_identity(B.rank))
             _check(mat_is_zero(mat_mul(delta, delta)), "slide action not unipotent")
             checked += 1

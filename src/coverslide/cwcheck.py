@@ -7,10 +7,11 @@ everywhere else, which :func:`verify_chevalley_weil` tests exactly.
 
 For deck groups of exponent 2 (all characters rational, +-1 valued) the
 isotypic decomposition is computed explicitly via the averaging projectors
-(1/|G|) sum chi(g) rho(g).  Each deck matrix's nonzeros are read once and
-summed per character, so the work follows the nonzeros (a few per column)
-rather than |G| r^2 cells per character; each dimension is the exact rank of
-the integer sum, which equals the projector's rank.
+(1/|G|) sum chi(g) rho(g).  Each deck matrix's nonzeros are read once off
+the translated basis cycles and summed per character into row maps, so the
+work follows the nonzeros (a few per column) rather than |G| r^2 cells per
+character; each dimension is the exact sparse rank of the integer sum, which
+equals the projector's rank.  Only the projectors themselves are dense.
 
 Elevations — closed lifts of w^k where k is the order of w's image — and the
 rank obstruction they satisfy are also provided: the preimage of a loop with
@@ -29,11 +30,12 @@ from .cover import CoverGraph, Word, commutator_word, lift_word
 from .groups import element_order, subgroup_generated
 from .homology import (
     HomologyBasis,
+    _sparse_coords,
     chain_of_path,
     chain_to_class,
     character,
-    deck_action_matrix,
     orbit_rank_of_chain,
+    translate_chain,
 )
 
 
@@ -117,21 +119,34 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
     """
     chars = _exponent_two_characters(Y)
     order, r = Y.group.order, B.rank
-    # each deck matrix's nonzeros, extracted once and shared by all characters
+    # each deck matrix's (row, col, value) nonzeros, read off the translated
+    # basis cycles once and shared by all characters
     nonzeros = []
     for g in Y.group.elements():
-        m = deck_action_matrix(Y, B, g)
-        nonzeros.append([(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x])
+        nonzeros.append([
+            (i, k, x)
+            for k, zk in enumerate(B.cycles)
+            for i, x in _sparse_coords(B, translate_chain(Y, g, zk)).items()
+        ])
     dims = {}
     projectors = {}
     for chi in chars:
-        acc = linalg.mat_zero(r, r)
+        acc: list[dict] = [{} for _ in range(r)]
         for coef, entries in zip(chi, nonzeros):
-            for i, j, x in entries:
-                acc[i][j] += coef * x
+            for i, k, x in entries:
+                row = acc[i]
+                row[k] = row.get(k, 0) + coef * x
+        acc = [{k: x for k, x in row.items() if x} for row in acc]
         # the integer sum has the rank of the projector acc / |G|
-        dims[chi] = linalg.rank(acc)
-        projectors[chi] = [[Fraction(x, order) if x else 0 for x in row] for row in acc]
+        dims[chi] = linalg.sparse_rank(acc)
+        # one Fraction per distinct sum, shared by every cell that holds it
+        values = {x for row in acc for x in row.values()}
+        fractions = {x: Fraction(x, order) for x in values}
+        projector = linalg.mat_zero(r, r)
+        for row, out in zip(acc, projector):
+            for k, x in row.items():
+                out[k] = fractions[x]
+        projectors[chi] = projector
     return IsotypicReport(characters=tuple(chars), dims=dims, projectors=projectors)
 
 

@@ -215,8 +215,10 @@ def class_to_chain(B: HomologyBasis, v: Sequence[Rational]) -> Chain1:
         raise ValueError(f"coordinate vector has length {len(v)}, expected {B.rank}")
     z: Chain1 = {}
     for c, zk in zip(v, B.cycles):
-        chain_add_scaled(z, zk, c)
-    return z
+        if c:
+            for e, x in zk.items():
+                z[e] = z.get(e, 0) + c * x
+    return {e: x for e, x in z.items() if x}
 
 
 def deck_action_matrix(Y: CoverGraph, B: HomologyBasis, g: int) -> list:

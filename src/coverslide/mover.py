@@ -25,13 +25,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress
 from math import lcm
 from typing import Iterator, Sequence
 
 from . import linalg
 from .cover import CoverGraph, Edge, Word, free_reduce, lift_word, petal_complement_components
 from .homology import (
+    Chain1,
     HomologyBasis,
     chain_add_scaled,
     chain_of_path,
@@ -78,7 +79,12 @@ class CertificateFailed(RuntimeError):
 
 @dataclass
 class MoveCertificate:
-    """Everything needed to recheck that the slide moves v on an infinite orbit."""
+    """Everything needed to recheck that the slide moves v on an infinite orbit.
+
+    ``matrix`` is the lifted slide's action as dense rows, the form the
+    ``matrix`` JSON key carries, so that a certificate can be re-checked from
+    its JSON alone; the library itself holds the action as column nonzeros
+    (:attr:`LiftedSlide.columns`) and builds these rows once per move."""
 
     petal: int
     pairing_edge: Edge
@@ -99,12 +105,15 @@ class CertificateCheck:
         return self.ok
 
 
-def find_pairing_edge(Y: CoverGraph, B: HomologyBasis, v: Sequence) -> tuple[int, int]:
+def find_pairing_edge(
+    Y: CoverGraph, B: HomologyBasis, v: Sequence, *, chain: Chain1 | None = None
+) -> tuple[int, int]:
     """Smallest (petal, vertex) whose edge carries a nonzero coefficient of
-    v's canonical cycle; exists for every nonzero class."""
+    v's canonical cycle; exists for every nonzero class.  ``chain`` is that
+    cycle, ``class_to_chain(B, v)``, when the caller already has it."""
     if linalg.vec_is_zero(v):
         raise ZeroVector("cannot pair with the zero class")
-    z = class_to_chain(B, v)
+    z = class_to_chain(B, v) if chain is None else chain
     for j in range(1, Y.n + 1):
         for g in range(Y.group.order):
             if z.get((g, j), 0) != 0:
@@ -209,7 +218,8 @@ def move_vector(
         raise ZeroVector("cannot move the zero class")
     if Y.n < 3:
         raise RankTooSmall(f"rose rank {Y.n} < 3")
-    j, g_star = find_pairing_edge(Y, B, v)
+    chain_v = class_to_chain(B, v)
+    j, g_star = find_pairing_edge(Y, B, v, chain=chain_v)
     if loop_cache is not None and j in loop_cache:
         ell = loop_cache[j]
     else:
@@ -217,7 +227,7 @@ def move_vector(
         if loop_cache is not None:
             loop_cache[j] = ell
     L = lifted_action_formula(make_slide(Y.n, j, ell), Y, B)
-    increment = slide_increment(L, list(v))
+    increment = slide_increment(L, list(v), chain=chain_v)
     cert = MoveCertificate(
         petal=j,
         pairing_edge=(g_star, j),
@@ -241,7 +251,10 @@ def verify_certificate(
     """Recheck every certificate invariant from scratch.
 
     Returns ok=False with the list of failed checks rather than raising, so
-    tampered certificates can be diagnosed.  The iterate check steps the
+    tampered certificates can be diagnosed.  One pass over the certificate's
+    matrix gives its column nonzeros, compared with the formula's and the
+    oracle's columns (a matrix that is not r lists of r entries fails both),
+    and its row nonzeros for the iterate check.  The iterate check steps the
     certificate's own matrix ``iterates_checked`` times along each row's
     nonzeros, on ``den * v`` with ``den`` the lcm of v's denominators, and
     compares every step with ``den * (v + d * increment)``; the map is linear,
@@ -249,6 +262,7 @@ def verify_certificate(
     """
     failures: list[str] = []
     order = Y.group.order
+    r = B.rank
     j = cert.petal
     v = list(v)
 
@@ -261,6 +275,7 @@ def verify_certificate(
         failures.append("property 2")
 
     chain_v = class_to_chain(B, v)
+    columns, rows = _matrix_nonzeros(cert.matrix, r)
     pe = tuple(cert.pairing_edge)
     if pe[1] != j or chain_v.get(pe, 0) == 0:
         failures.append("pairing edge")
@@ -280,17 +295,17 @@ def verify_certificate(
 
     if property1 and closed:
         L = lifted_action_formula(make_slide(Y.n, j, cert.ell), Y, B)
-        if L.matrix != cert.matrix:
+        if columns is None or columns != L.columns:
             failures.append("matrix vs formula")
-        if lifted_action_oracle(L.slide, Y, B) != cert.matrix:
+        if columns is None or columns != lifted_action_oracle(L.slide, Y, B):
             failures.append("matrix vs oracle")
-        if slide_increment(L, v) != list(cert.increment):
+        if slide_increment(L, v, chain=chain_v) != list(cert.increment):
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")
 
-    if 1 <= cert.iterates_checked <= MAX_ITERATE_DEPTH and len(cert.matrix) == B.rank == len(v):
-        failure = _iterate_failure(cert, v)
+    if 1 <= cert.iterates_checked <= MAX_ITERATE_DEPTH and len(rows) == r == len(v):
+        failure = _iterate_failure(cert, v, rows)
         if failure:
             failures.append(failure)
     else:
@@ -299,16 +314,42 @@ def verify_certificate(
     return CertificateCheck(ok=not failures, failures=tuple(failures))
 
 
-def _iterate_failure(cert: MoveCertificate, v: list) -> str | None:
+def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list]:
+    """One pass over a certificate matrix: its columns as ``row -> value``
+    maps (None unless it is a list of r lists of r entries), and each row's
+    ``(col, value)`` nonzeros among its first r entries.
+
+    A row keeps the truthy entries, which the iterate check multiplies.  A
+    column keeps every ``x != 0``, so that comparing column maps is the
+    entrywise ``==`` of dense rows: ``None`` or ``"0"`` never equals an int.
+    The two sets differ only when the truthy entries and those equal to 0 do
+    not add up to the row, and only such a row is scanned a second time."""
+    square = isinstance(matrix, list) and len(matrix) == r
+    columns: list[dict] = [{} for _ in range(r)]
+    rows = []
+    for i, row in enumerate(matrix):
+        truthy = list(compress(zip(range(r), row), row))
+        rows.append(truthy)
+        square = square and isinstance(row, list) and len(row) == r
+        if square:
+            nonzeros = truthy
+            if len(truthy) + row.count(0) != r:
+                nonzeros = [(c, x) for c, x in enumerate(row) if x != 0]
+            for c, x in nonzeros:
+                columns[c][i] = x
+    return (columns if square else None), rows
+
+
+def _iterate_failure(cert: MoveCertificate, v: list, rows: list) -> str | None:
     """The first failed iterate check (``"iterate closed form"`` or
     ``"iterates distinct"``), or None.
 
-    Reads each matrix row as ``mat_vec`` does: columns past ``len(v)`` are
-    ignored and a short row ends early.  v and the increment are scaled by
-    ``den`` only when they and the matrix nonzeros are all int or Fraction;
-    with a float anywhere the arithmetic is that on v itself."""
-    r = len(v)
-    rows = [[(c, x) for c, x in enumerate(islice(row, r)) if x] for row in cert.matrix]
+    Steps the matrix along ``rows``, each row's nonzeros as
+    :func:`_matrix_nonzeros` gives them: read as ``mat_vec`` does, columns
+    past ``len(v)`` are ignored and a short row ends early.  v and the
+    increment are scaled by ``den`` only when they and the matrix nonzeros
+    are all int or Fraction; with a float anywhere the arithmetic is that on
+    v itself."""
     base, step = v, list(cert.increment)
     if all(type(x) in _EXACT for x in chain(v, step, (x for row in rows for _, x in row))):
         den = lcm(*(a.denominator for a in v))

@@ -17,6 +17,11 @@ routes that must agree:
 Because ``ell`` avoids petal j, no translate of ``ell~`` meets a petal-j
 edge, so the difference F - I squares to zero and iterates follow the closed
 form ``F^d(w) = w + d * (F(w) - w)``.
+
+Both routes hold the action as column nonzeros, one ``row -> value`` dict
+per basis cycle: column k differs from ``e_k`` only when the cycle crosses
+petal j, so most columns are a single diagonal 1.  Dense rows are built only
+for output (``LiftedSlide.matrix``, the JSON and the certificate's matrix).
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from .cover import CoverGraph, Word, free_reduce, lift_word
 from .homology import (
     Chain1,
     HomologyBasis,
-    chain_add_scaled,
+    NotACycle,
+    _sparse_coords,
+    chain_add,
+    chain_boundary,
     chain_of_path,
     chain_to_class,
     class_to_chain,
@@ -91,22 +99,34 @@ def lifts_to_cover(s: SlideAutomorphism, Y: CoverGraph) -> bool:
 
 @dataclass(eq=False)
 class LiftedSlide:
-    """A slide together with its lift's action matrix on the cover's H1."""
+    """A slide together with its lift's action on the cover's H1.
+
+    ``columns[k]`` maps row -> nonzero entry of the image of basis cycle k;
+    ``matrix`` builds the dense rows from it."""
 
     slide: SlideAutomorphism
     cover: CoverGraph
     basis: HomologyBasis
     ell_chain: Chain1
     ell_class: list
-    matrix: list
+    columns: list
     _translate_classes: dict = field(default_factory=dict, repr=False)
 
-    def translate_class(self, g: int) -> list:
-        """Coordinates of [g . ell~], cached per deck element."""
+    @property
+    def matrix(self) -> list:
+        """The action as dense rows, built from ``columns`` on each access."""
+        r = self.basis.rank
+        rows = [[0] * r for _ in range(r)]
+        for k, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][k] = x
+        return rows
+
+    def translate_class(self, g: int) -> dict:
+        """Nonzero coordinates of [g . ell~], cached per deck element."""
         cls = self._translate_classes.get(g)
         if cls is None:
-            z = translate_chain(self.cover, g, self.ell_chain)
-            cls = [z.get(e, 0) for e in self.basis.cotree]
+            cls = _sparse_coords(self.basis, translate_chain(self.cover, g, self.ell_chain))
             self._translate_classes[g] = cls
         return cls
 
@@ -126,62 +146,74 @@ def lifted_action_formula(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis)
     over the petal-j edges in the support of the basis cycle ``z_k``.
     """
     ell_chain = _lift_chain_or_raise(s, Y)
-    ell_class = chain_to_class(B, ell_chain)
     L = LiftedSlide(
         slide=s,
         cover=Y,
         basis=B,
         ell_chain=ell_chain,
-        ell_class=ell_class,
-        matrix=[],
+        ell_class=chain_to_class(B, ell_chain),
+        columns=[],
     )
-    cols = []
     for k, zk in enumerate(B.cycles):
         col = _petal_increment(L, zk)
-        col[k] += 1
-        cols.append(col)
-    L.matrix = linalg.transpose(cols)
+        chain_add(col, k, 1)
+        L.columns.append(col)
     return L
 
 
 def lifted_action_oracle(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis) -> list:
-    """The same matrix by brute force, with no cocycles anywhere.
+    """The same columns by brute force, with no cocycles anywhere.
 
     The lift fixes every vertex, so it induces a chain map: each edge (g, i)
-    is sent to the lift, at g, of the substituted generator word.  The map is
-    computed on every edge of the cover, then pushed through the basis cycles
-    and re-expressed in coordinates.
+    is sent to the lift, at g, of the substituted generator word.  Each edge
+    image must have the boundary head - tail of its edge (else
+    :class:`NotACycle`), so by linearity the image of every cycle is a cycle
+    and its coordinates are its cotree coefficients.  The map is pushed
+    through the basis cycles on those coefficients.
     """
     _lift_chain_or_raise(s, Y)
     images = {i: apply_automorphism(s, Word.generator(i)) for i in range(1, Y.n + 1)}
-    edge_image = {e: chain_of_path(lift_word(Y, images[e[1]], e[0])) for e in Y.edges()}
+    edge_coords: dict = {}
+    for e in B.edges:
+        img = chain_of_path(lift_word(Y, images[e[1]], e[0]))
+        # img - e is a cycle exactly when img has the boundary of e
+        bd = chain_boundary(Y, {**img, e: img.get(e, 0) - 1})
+        if bd:
+            raise NotACycle(min(bd))
+        if not img.keys() <= B.edge_set:
+            raise ValueError(f"image of edge {e} leaves the graph of this basis")
+        edge_coords[e] = _sparse_coords(B, img)
     cols = []
     for zk in B.cycles:
-        img: Chain1 = {}
+        col: dict = {}
         for e, c in zk.items():
-            chain_add_scaled(img, edge_image[e], c)
-        cols.append(chain_to_class(B, img))
-    return linalg.transpose(cols)
+            for k, x in edge_coords[e].items():
+                col[k] = col.get(k, 0) + c * x
+        cols.append({k: x for k, x in col.items() if x})
+    return cols
 
 
-def _petal_increment(L: LiftedSlide, z: Chain1) -> list:
-    """``sum_g xi_{(g,j)}(z) * [g . ell~]``: the displacement the lifted slide
-    adds to the cycle z, summed over the petal-j edges in its support."""
-    r = L.basis.rank
-    delta = [0] * r
+def _petal_increment(L: LiftedSlide, z: Chain1) -> dict:
+    """``sum_g xi_{(g,j)}(z) * [g . ell~]``, as row -> nonzero value: the
+    displacement the lifted slide adds to the cycle z, summed over the petal-j
+    edges in its support."""
+    j = L.slide.j
+    delta: dict = {}
     for (g, i), c in z.items():
-        if i == L.slide.j and c != 0:
-            cls = L.translate_class(g)
-            for row in range(r):
-                if cls[row] != 0:
-                    delta[row] = delta[row] + c * cls[row]
-    return delta
+        if i == j and c != 0:
+            for row, x in L.translate_class(g).items():
+                delta[row] = delta.get(row, 0) + c * x
+    return {row: x for row, x in delta.items() if x}
 
 
-def slide_increment(L: LiftedSlide, w: list) -> list:
+def slide_increment(L: LiftedSlide, w: list, *, chain: Chain1 | None = None) -> list:
     """The per-iterate displacement ``F(w) - w`` of a class, from the closed
-    form (not from the matrix)."""
-    return _petal_increment(L, class_to_chain(L.basis, w))
+    form (not from the matrix).  ``chain`` is w's canonical cycle
+    ``class_to_chain(L.basis, w)``, when the caller already has it."""
+    if chain is None:
+        chain = class_to_chain(L.basis, w)
+    delta = _petal_increment(L, chain)
+    return [delta.get(k, 0) for k in range(L.basis.rank)]
 
 
 def iterate_closed_form(L: LiftedSlide, d: int, w: list) -> list:

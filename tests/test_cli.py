@@ -354,9 +354,9 @@ from coverslide import cli
 oracle = cli.lifted_action_oracle
 
 def wrong_oracle(s, Y, B):
-    m = oracle(s, Y, B)
-    m[0][0] += 1
-    return m
+    columns = oracle(s, Y, B)
+    columns[0][0] = columns[0].get(0, 0) + 1
+    return columns
 
 cli.lifted_action_oracle = wrong_oracle
 sys.exit(cli.main(["selftest", "--quick"]))

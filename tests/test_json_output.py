@@ -1,5 +1,7 @@
-"""The CLI's JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
+"""The CLI's JSON writer against ``json.dumps(indent=2, sort_keys=True)``, and
+pinned ``--json`` bytes of a few commands."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -79,3 +81,32 @@ def test_move_out_file_is_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("}\n")
     assert out_path.read_bytes() == out[:-1].encode()
+
+
+# stdout sha256 of --json runs, recorded before the lifted slide action was
+# held as column nonzeros; a speed-up must leave these bytes alone
+PINNED_RUNS = {
+    "move dihedral fractional": (
+        ["move", "--group", "dihedral:8", "--n", "3",
+         "--vector=1/2,0,-3/4,0,0,2,0,0,0,0,0,0,0,0,0,0,5/3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,-7"],
+        "587e5fe15c6e13e65a3c48c3c9f9b42bf228dad7aef6c2ed0131a417c84ffb53",
+    ),
+    "move symmetric": (
+        ["move", "--group", "symmetric:3", "--n", "3", "--vector-word", "a3"],
+        "d853bede98e3e2839a8121de7d2cf7e65e26c4c3b78bea425e584c14acc712af",
+    ),
+    "slide": (
+        ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a3.a2^-1"],
+        "b64c26f7ab148c5f4f83db6e00fb0cb0b2745510c9fc3c18158902afb7c16bc9",
+    ),
+    "verify-cw": (
+        ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "4"],
+        "6a4967eaa557d0eec229327d21f1502148219c91d2f4accb826e4fe6c3a69bde",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_RUNS.values(), ids=PINNED_RUNS.keys())
+def test_json_bytes_pinned(argv, digest, capsys):
+    assert cli.main([*argv, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

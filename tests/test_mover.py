@@ -356,8 +356,9 @@ def dense_mat_vec(a, v):
     return out
 
 
-def dense_iterate_failure(cert, v):
-    """The verifier's former iterate check: ``depth`` dense steps on v."""
+def dense_iterate_failure(cert, v, _rows=None):
+    """The verifier's former iterate check: ``depth`` dense steps on v; it
+    ignores the row nonzeros the verifier passes."""
     w = v
     seen = {tuple(w)}
     for d in range(1, cert.iterates_checked + 1):
@@ -447,3 +448,85 @@ def test_iterate_check_matches_dense_loop(klein_n3_cover, klein_n3_basis, monkey
     assert new[0].ok
     failures = {f for check in new for f in check.failures}
     assert {"iterate closed form", "iterates distinct"} <= failures
+
+
+# --- matrix checks against the dense comparisons -----------------------------------
+
+
+class DenseComparison:
+    """Stands in for the certificate's column maps: ``!=`` against the
+    formula's or the oracle's columns is the dense ``!=`` of rows the verifier
+    made before, on the certificate's own matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __ne__(self, columns):
+        return [[col.get(i, 0) for col in columns] for i in range(len(columns))] != self.matrix
+
+
+def dense_matrix_nonzeros(matrix, r):
+    """The former comparisons, and the former iterate rows (truthy entries)."""
+    rows = [[(c, x) for c, x in enumerate(islice(row, r)) if x] for row in matrix]
+    return DenseComparison(matrix), rows
+
+
+def _more_tampered(cert):
+    """Shapes and entry types the column scan must read as the dense
+    comparison did."""
+    moved = next(i for i, row in enumerate(cert.matrix) if sum(map(bool, row)) > 1)
+    nonzero = next(k for k, x in enumerate(cert.matrix[moved]) if x)
+    zero = next(k for k, x in enumerate(cert.matrix[moved]) if x == 0)
+    last_zero = next(i for i, row in enumerate(cert.matrix) if row[-1] == 0)
+    out = [
+        ("extra zero column", dataclasses.replace(
+            cert, matrix=[row + [0] for row in cert.matrix])),
+        ("short row, a zero dropped", _with_row(cert, last_zero, lambda row: row[:-1])),
+        ("missing row", dataclasses.replace(cert, matrix=[row[:] for row in cert.matrix[:-1]])),
+        ("extra zero row", dataclasses.replace(
+            cert, matrix=[row[:] for row in cert.matrix] + [[0] * len(cert.matrix)])),
+        ("rows as tuples", dataclasses.replace(cert, matrix=[tuple(row) for row in cert.matrix])),
+        ("matrix as a tuple", dataclasses.replace(cert, matrix=tuple(cert.matrix))),
+    ]
+    for x in (None, "0", 0.0, 1.0, Fraction(2, 1)):
+        for where, k in (("nonzero", nonzero), ("zero", zero)):
+            out.append((f"{x!r} at a {where}", _with_row(cert, moved, lambda row: _set(row, k, x))))
+    return out
+
+
+def _outcome(Y, B, v, cert):
+    try:
+        return verify_certificate(Y, B, v, cert)
+    except Exception as exc:  # a bad entry may fail the same way in both
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, -2, 0, 0, 3, 0, 0, 0, 1],
+        [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, Fraction(7, 3)],
+    ],
+    ids=["unit", "integer", "p/q"],
+)
+def test_matrix_checks_match_dense_comparison(klein_n3_cover, klein_n3_basis, monkeypatch, v):
+    """The column-map comparisons give the CertificateCheck the dense ``!=``
+    gave, on the 31 tampered certificates and the new shapes and entries,
+    with v as built and as floats."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    cert = move_vector(Y, B, v)
+    cases = []
+    for name, c in _tampered(cert) + _more_tampered(cert):
+        cases.append((name, c, v))
+        cases.append((f"{name}, float v", c, [float(x) for x in v]))
+    new = [_outcome(Y, B, u, c) for _, c, u in cases]
+    monkeypatch.setattr(mover, "_matrix_nonzeros", dense_matrix_nonzeros)
+    for (name, c, u), got in zip(cases, new):
+        assert got == _outcome(Y, B, u, c), name
+    assert new[0].ok
+    outcome = {name: got for (name, _, _), got in zip(cases, new)}
+    for name in ("extra zero column", "short row, a zero dropped", "missing row", "extra zero row",
+                 "rows as tuples", "matrix as a tuple", "None at a zero"):
+        assert {"matrix vs formula", "matrix vs oracle"} <= set(outcome[name].failures), name
+    assert outcome["0.0 at a zero"].ok

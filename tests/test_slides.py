@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverslide import (
     DoesNotLift,
@@ -24,8 +24,10 @@ from coverslide import (
     make_slide,
     petal_complement_components,
     slide_increment,
+    translate_chain,
 )
-from coverslide.homology import chain_add_scaled, cocycle_eval, EdgeCocycle
+from coverslide import slides
+from coverslide.homology import NotACycle, chain_add_scaled, cocycle_eval, EdgeCocycle
 from coverslide.linalg import mat_identity, mat_is_zero, mat_mul, mat_sub, mat_vec
 
 from helpers import battery_covers
@@ -122,7 +124,7 @@ def test_empty_loop_gives_identity(mod2_cover, mod2_basis):
     s = make_slide(2, 1, Word())
     L = lifted_action_formula(s, mod2_cover, mod2_basis)
     assert L.matrix == mat_identity(mod2_basis.rank)
-    assert lifted_action_oracle(s, mod2_cover, mod2_basis) == L.matrix
+    assert lifted_action_oracle(s, mod2_cover, mod2_basis) == L.columns
 
 
 def test_oracle_fixes_other_petal_edges(mod2_cover, mod2_basis):
@@ -139,7 +141,6 @@ def test_chain_level_formula_on_slid_edges(mod2_cover, mod2_basis):
     Y, B = mod2_cover, mod2_basis
     s = make_slide(2, 1, Word.from_string("a2.a2"))
     ell_chain = chain_of_path(lift_word(Y, s.ell, 0))
-    from coverslide import translate_chain
 
     for g in range(4):
         w = apply_automorphism(s, Word.generator(1))
@@ -152,7 +153,7 @@ def test_chain_level_formula_on_slid_edges(mod2_cover, mod2_basis):
 def test_formula_equals_oracle_mod2(mod2_cover, mod2_basis):
     s = make_slide(2, 1, Word.from_string("a2.a2"))
     L = lifted_action_formula(s, mod2_cover, mod2_basis)
-    assert lifted_action_oracle(s, mod2_cover, mod2_basis) == L.matrix
+    assert lifted_action_oracle(s, mod2_cover, mod2_basis) == L.columns
 
 
 def test_formula_equals_oracle_random_battery():
@@ -165,9 +166,70 @@ def test_formula_equals_oracle_random_battery():
             j, ell = random_valid_slide(Y, B, rng)
             s = make_slide(Y.n, j, ell)
             L = lifted_action_formula(s, Y, B)
-            assert lifted_action_oracle(s, Y, B) == L.matrix, name
+            assert lifted_action_oracle(s, Y, B) == L.columns, name
             checked += 1
     assert checked >= 10
+
+
+def dense_formula_matrix(Y, B, s):
+    """The cocycle formula as dense rows, the way the action was built before
+    it was held as columns: a dense coordinate list per translate of the
+    lifted loop, dense columns, then a transpose."""
+    ell_chain = chain_of_path(lift_word(Y, s.ell, 0))
+    translates = {}
+    cols = []
+    for k, zk in enumerate(B.cycles):
+        col = [0] * B.rank
+        for (g, i), c in zk.items():
+            if i == s.j and c != 0:
+                if g not in translates:
+                    z = translate_chain(Y, g, ell_chain)
+                    translates[g] = [z.get(e, 0) for e in B.cotree]
+                for row, x in enumerate(translates[g]):
+                    if x != 0:
+                        col[row] += c * x
+        col[k] += 1
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+SMALL_COVERS = [(name, Y, B) for name, Y, B in battery_covers((2, 3)) if Y.group.order <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_COVERS), st.randoms(use_true_random=False))
+def test_formula_oracle_and_matrix_columns_agree(cover, rng):
+    name, Y, B = cover
+    j, ell = random_valid_slide(Y, B, rng)
+    s = make_slide(Y.n, j, ell)
+    L = lifted_action_formula(s, Y, B)
+    r = B.rank
+    assert all(x != 0 and 0 <= i < r for col in L.columns for i, x in col.items()), name
+    assert lifted_action_oracle(s, Y, B) == L.columns, name
+    dense = L.matrix
+    assert [{i: dense[i][k] for i in range(r) if dense[i][k]} for k in range(r)] == L.columns, name
+    assert dense == dense_formula_matrix(Y, B, s), name
+
+
+def test_oracle_checks_each_edge_image_boundary(mod2_cover, mod2_basis, monkeypatch):
+    # an edge map that is not a chain map: a1 -> a2.a1 ends one b-step off
+    s = make_slide(2, 1, Word.from_string("a2.a2"))
+
+    def wrong(_, w):
+        return Word.from_string("a2") * w if w == Word.generator(1) else w
+
+    monkeypatch.setattr(slides, "apply_automorphism", wrong)
+    with pytest.raises(NotACycle):
+        lifted_action_oracle(s, mod2_cover, mod2_basis)
+
+
+def test_both_routes_reject_a_basis_the_loop_leaves(klein_n3_cover):
+    # the petal-2 complement's basis misses the a2 edges the loop runs along
+    B0 = component_basis(petal_complement_components(klein_n3_cover, 2)[0])
+    s = make_slide(3, 1, Word.from_string("a2.a2"))
+    for route in (lifted_action_formula, lifted_action_oracle):
+        with pytest.raises(ValueError, match="graph of this basis"):
+            route(s, klein_n3_cover, B0)
 
 
 def test_unipotent(mod2_cover, mod2_basis):
@@ -203,7 +265,6 @@ def test_no_translate_crosses_slid_petal(klein_n3_cover, klein_n3_basis):
     Y, B = klein_n3_cover, klein_n3_basis
     s = make_slide(3, 1, Word.from_string("a2.a2"))
     L = lifted_action_formula(s, Y, B)
-    from coverslide import translate_chain
 
     for g in Y.group.elements():
         moved = translate_chain(Y, g, L.ell_chain)
