@@ -179,8 +179,11 @@ def _parse_vector(args: argparse.Namespace, Y: CoverGraph, B: HomologyBasis) -> 
 def _dumps(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
     lists, tuples, str and JSON scalars, without the pure-Python encoder that
-    ``indent`` selects: a list of strings is one join of the C string
-    encoder, and scalars go through ``json.dumps``."""
+    ``indent`` selects.  A list of strings whose joined text is printable
+    ASCII without ``"`` or ``\\`` is one join with the quotes in the
+    separator, since on such text the C string encoder only adds quotes; any
+    other list of strings is one join of that encoder, and scalars go through
+    ``json.dumps``."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, dict):
@@ -195,16 +198,27 @@ def _dumps(obj, indent: str = "") -> str:
         inner = indent + "  "
         sep = ",\n" + inner
         try:
-            body = sep.join(map(_encode_str, obj))
+            text = "".join(obj)
         except TypeError:  # not a list of strings
             body = sep.join(_dumps(x, inner) for x in obj)
+        else:
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                body = '"' + ('"' + sep + '"').join(obj) + '"'
+            else:
+                body = sep.join(map(_encode_str, obj))
         return "[\n" + inner + body + "\n" + indent + "]"
     return json.dumps(obj)
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
+    """Print the payload's JSON with ``--json``, else the human lines; with
+    ``move --out``, also write the same JSON text to that file."""
+    if args.json or args.out:
+        text = _dumps(payload)
+        if args.out:
+            Path(args.out).write_text(text)
     if args.json:
-        print(_dumps(payload))
+        print(text)
     else:
         for line in human_lines:
             print(line)
@@ -256,8 +270,6 @@ def cmd_move(args: argparse.Namespace) -> int:
     )
     payload = certificate_to_json(cert, Y)
     payload["verified"] = True
-    if args.out:
-        Path(args.out).write_text(_dumps(payload))
     _emit(
         args,
         payload,
@@ -501,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coverslide",
         description="Finite covers of roses: exact homology, deck actions, and edge slides that move homology classes.",
     )
+    parser.set_defaults(out=None)  # only move takes --out
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a cover and print its size and H1 rank")

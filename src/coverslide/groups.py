@@ -6,12 +6,15 @@ are fully validated: rows and columns must be permutations, a two-sided
 identity and inverses must exist, and associativity is proved for orders up
 to :data:`ASSOCIATIVITY_CHECK_BOUND` by Light's test over a generating set,
 at O(|S| m^2) table lookups with |S| <= log2 m for a group of order m.
+The builtin families build their tables from whole rows (slices, row
+composition, a digit-by-digit recursion) and pass the same validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 ASSOCIATIVITY_CHECK_BOUND = 256
@@ -82,13 +85,21 @@ def from_mul_table(
     The identity is relocated to index 0 by relabeling if necessary.  Raises
     :class:`NotAGroup` with a witness when an axiom fails.
 
+    A table whose rows have entries of type exactly ``int`` and whose rows
+    and columns each have the set ``{0..m-1}`` is accepted as a Latin square
+    in one pass over whole rows and columns.  Any other table is scanned cell
+    by cell, which names the first bad entry, row or column (an ``int``
+    subclass passes that scan, as before).  The identity is the first index
+    whose row and column are both ``0..m-1``.
+
     Associativity is proved by F. W. Light's test (Clifford-Preston, *The
     Algebraic Theory of Semigroups* I, 1.2): the elements ``y`` with
     ``(x*y)*z == x*(y*z)`` for all ``x, z`` are closed under products, so it
     suffices to check ``y`` over a set ``S`` whose products reach every
     element.  ``S`` is chosen greedily, each new element outside the closure
     of the earlier ones, so ``|S| <= log2 m`` for a group and the test costs
-    O(|S| m^2) lookups instead of the O(m^3) full sweep.  On failure the full
+    O(|S| m) comparisons of whole rows, ``(x*y)*z`` against ``x*(y*z)`` over
+    all ``z`` at once, instead of the O(m^3) full sweep.  On failure the full
     sweep reports the lexicographically first failing ``(x, y, z)``.  Orders
     above :data:`ASSOCIATIVITY_CHECK_BOUND` skip the test and require
     ``trusted=True``.
@@ -97,24 +108,19 @@ def from_mul_table(
     m = len(rows)
     if m == 0:
         raise NotAGroup("empty table")
-    for x, r in enumerate(rows):
-        if len(r) != m:
-            raise NotAGroup(f"table not square: row {x} has length {len(r)}, expected {m}")
-        for y, v in enumerate(r):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
-                raise NotAGroup(f"entry out of range at ({x}, {y}): {v!r}")
-    for x, r in enumerate(rows):
-        if len(set(r)) != m:
-            raise NotAGroup(f"row {x} is not a permutation of 0..{m - 1}")
-    for y in range(m):
-        if len({rows[x][y] for x in range(m)}) != m:
-            raise NotAGroup(f"column {y} is not a permutation of 0..{m - 1}")
+    # one pass of set and zip over whole rows and columns; any other table
+    # goes to the cell-by-cell scan, which names the first failure
+    full = set(range(m))
+    cols = list(zip(*rows))
+    if not (
+        all(len(r) == m and set(map(type, r)) == {int} and set(r) == full for r in rows)
+        and all(set(col) == full for col in cols)
+    ):
+        _latin_square_witness(rows)
 
-    ident = None
-    for e in range(m):
-        if all(rows[e][x] == x for x in range(m)) and all(rows[x][e] == x for x in range(m)):
-            ident = e
-            break
+    ident_row = list(range(m))
+    ident_col = tuple(ident_row)
+    ident = next((e for e in range(m) if rows[e] == ident_row and cols[e] == ident_col), None)
     if ident is None:
         raise NotAGroup("no two-sided identity element")
 
@@ -170,6 +176,25 @@ def from_mul_table(
     )
 
 
+def _latin_square_witness(rows: list[list]) -> None:
+    """Raise :class:`NotAGroup` naming the first cell, row or column that
+    keeps ``rows`` from being a Latin square on ``0..m-1`` with int entries;
+    return if there is none (the entries may be of an int subclass)."""
+    m = len(rows)
+    for x, r in enumerate(rows):
+        if len(r) != m:
+            raise NotAGroup(f"table not square: row {x} has length {len(r)}, expected {m}")
+        for y, v in enumerate(r):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
+                raise NotAGroup(f"entry out of range at ({x}, {y}): {v!r}")
+    for x, r in enumerate(rows):
+        if len(set(r)) != m:
+            raise NotAGroup(f"row {x} is not a permutation of 0..{m - 1}")
+    for y in range(m):
+        if len({rows[x][y] for x in range(m)}) != m:
+            raise NotAGroup(f"column {y} is not a permutation of 0..{m - 1}")
+
+
 def _light_associative(rows: Sequence[Sequence[int]]) -> bool:
     """Light's test on a Latin square with two-sided identity 0: True iff
     associative.  Every element reached from 0 by right multiplications by
@@ -184,12 +209,10 @@ def _light_associative(rows: Sequence[Sequence[int]]) -> bool:
             reached = closure(rows, gens, reached)
     for y in gens:
         ry = rows[y]
-        for x in range(m):
-            rx = rows[x]
-            rxy = rows[rx[y]]
-            for z in range(m):
-                if rxy[z] != rx[ry[z]]:
-                    return False
+        for rx in rows:
+            # row x*y against x*(y*z) over all z
+            if rows[rx[y]] != list(map(rx.__getitem__, ry)):
+                return False
     return True
 
 
@@ -207,8 +230,9 @@ def _is_prime(p: int) -> bool:
 def _cyclic(m: int) -> FiniteGroup:
     if m < 1 or m > _MAX_BUILTIN_ORDER:
         raise UnsupportedFamily(f"cyclic({m}): order must be in 1..{_MAX_BUILTIN_ORDER}")
-    table = [[(x + y) % m for y in range(m)] for x in range(m)]
-    return from_mul_table(table, [str(x) for x in range(m)], trusted=m > ASSOCIATIVITY_CHECK_BOUND)
+    base = list(range(m))
+    table = [base[x:] + base[:x] for x in range(m)]
+    return from_mul_table(table, list(map(str, base)), trusted=m > ASSOCIATIVITY_CHECK_BOUND)
 
 
 def _elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -217,25 +241,20 @@ def _elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1 or p**k > _MAX_BUILTIN_ORDER:
         raise UnsupportedFamily(f"elementary_abelian({p}, {k}): order out of range")
     order = p**k
-
-    def coords(x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            x, r = divmod(x, p)
-            out.append(r)
-        return tuple(out)
-
-    def index(v: Sequence[int]) -> int:
-        acc = 0
-        for t in reversed(range(k)):
-            acc = acc * p + v[t]
-        return acc
-
-    table = [
-        [index([(a + b) % p for a, b in zip(coords(x), coords(y))]) for y in range(order)]
-        for x in range(order)
-    ]
-    labels = ["".join(str(d) for d in coords(x)) for x in range(order)]
+    # x has base-p digits d_0, d_1, ... (x = sum d_t p^t); addition is
+    # digitwise mod p.  The table of (Z/p)^(t+1) comes from that of (Z/p)^t,
+    # with q = p^t: row x + q*h is row x shifted by q*c in its c-th block of
+    # q columns, the p blocks rotated left by h.
+    table = [[0]]
+    for t in range(k):
+        q = p**t
+        grown = [[]] * (q * p)
+        for x, row in enumerate(table):
+            flat = list(chain.from_iterable(map((q * c).__add__, row) for c in range(p)))
+            for h in range(p):
+                grown[x + q * h] = flat[q * h :] + flat[: q * h]
+        table = grown
+    labels = ["".join(str(x // p**t % p) for t in range(k)) for x in range(order)]
     return from_mul_table(table, labels, trusted=order > ASSOCIATIVITY_CHECK_BOUND)
 
 
@@ -244,22 +263,19 @@ def _dihedral(m: int) -> FiniteGroup:
         raise UnsupportedFamily(f"dihedral({m}): order out of range")
     order = 2 * m
 
-    # element r^i s^j encoded as i + m*j; s r = r^-1 s
-    def mul(x: int, y: int) -> int:
-        i1, j1 = x % m, x // m
-        i2, j2 = y % m, y // m
-        i = (i1 + (i2 if j1 == 0 else -i2)) % m
-        return i + m * ((j1 + j2) % 2)
-
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
+    # element r^i s^j encoded as i + m*j; s r = r^-1 s, so r^i times r^i'
+    # s^j' is r^(i+i') s^j' and r^i s times r^i' s^j' is r^(i-i') s^(1-j')
+    rot, refl = list(range(m)), list(range(m, order))
+    table = [rot[i:] + rot[:i] + refl[i:] + refl[:i] for i in range(m)]
+    table += [refl[i::-1] + refl[:i:-1] + rot[i::-1] + rot[:i:-1] for i in range(m)]
     labels = []
     for x in range(order):
         i, j = x % m, x // m
-        rot = "e" if i == 0 else ("r" if i == 1 else f"r{i}")
+        rot_label = "e" if i == 0 else ("r" if i == 1 else f"r{i}")
         if j == 0:
-            labels.append(rot)
+            labels.append(rot_label)
         else:
-            labels.append("s" if i == 0 else rot + "s")
+            labels.append("s" if i == 0 else rot_label + "s")
     return from_mul_table(table, labels, trusted=order > ASSOCIATIVITY_CHECK_BOUND)
 
 
@@ -267,12 +283,15 @@ def _symmetric(k: int) -> FiniteGroup:
     if not 1 <= k <= 5:
         raise UnsupportedFamily(f"symmetric({k}): k must be in 1..5")
     perms = sorted(permutations(range(k)))
+    labels = ["".join(map(str, p)) for p in perms]
+    if k == 1:
+        return from_mul_table([[0]], labels)
     index = {p: i for i, p in enumerate(perms)}
 
-    # composition applies the right factor first: (p*q)(x) = p(q(x))
-    table = [[index[tuple(p[q[t]] for t in range(k))] for q in perms] for p in perms]
-    labels = ["".join(str(t) for t in p) for p in perms]
-    return from_mul_table(table, labels)
+    # composition applies the right factor first: (p*q)(x) = p(q(x)), which
+    # is itemgetter(*q)(p); column q maps that getter over every p
+    cols = [list(map(index.__getitem__, map(itemgetter(*q), perms))) for q in perms]
+    return from_mul_table(list(zip(*cols)), labels)
 
 
 _FAMILIES = {

@@ -11,10 +11,13 @@ rather than the matrix size, and there are no tolerances anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
+# the types whose arithmetic is exact; a subclass is not one of them
+EXACT_TYPES = frozenset({int, Fraction})
 Vector = list
 Matrix = list
 
@@ -149,4 +152,26 @@ def vector_to_json(v: Sequence) -> list[str]:
 
 
 def matrix_to_json(a: Matrix) -> list[list[str]]:
-    return [vector_to_json(row) for row in a]
+    """``str`` of every entry, row by row.
+
+    A row whose entries are all exactly int or Fraction starts as a copy of
+    ``["0"] * len(row)``, and only its nonzeros are rendered (a zero int or
+    Fraction prints as ``0``).  Their texts are shared by object id: the
+    matrix keeps every entry alive, so an id names one value throughout.  Any
+    other row (bool, float, an int subclass, ``None``, str) is
+    ``list(map(str, row))``."""
+    texts: dict[int, str] = {}
+    out = []
+    for row in a:
+        if set(map(type, row)) <= EXACT_TYPES:
+            line = ["0"] * len(row)
+            for c in compress(range(len(row)), row):
+                x = row[c]
+                text = texts.get(id(x))
+                if text is None:
+                    text = texts[id(x)] = str(x)
+                line[c] = text
+        else:
+            line = list(map(str, row))
+        out.append(line)
+    return out

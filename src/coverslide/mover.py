@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import lcm
+from numbers import Real
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -51,8 +51,6 @@ MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
 # keeps the exponents of a late random success, and so the loop word, bounded
 _MAX_RANDOM_BOUND = 1 << 10
-# the value types for which the iterate check may clear v's denominators
-_EXACT = (int, Fraction)
 
 
 class ZeroVector(ValueError):
@@ -349,13 +347,17 @@ def _iterate_failure(cert: MoveCertificate, v: list, rows: list) -> str | None:
     past ``len(v)`` are ignored and a short row ends early.  v and the
     increment are scaled by ``den`` only when they and the matrix nonzeros
     are all int or Fraction; with a float anywhere the arithmetic is that on
-    v itself."""
+    v itself.  Any other entry that is not a real number (a str, None,
+    complex) fails the closed form unmultiplied: ``M^d v`` is not defined."""
     base, step = v, list(cert.increment)
-    if all(type(x) in _EXACT for x in chain(v, step, (x for row in rows for _, x in row))):
+    values = list(chain(v, step, (x for row in rows for _, x in row)))
+    if set(map(type, values)) <= linalg.EXACT_TYPES:
         den = lcm(*(a.denominator for a in v))
         # ints, not Fractions with denominator 1: den * Fraction is a Fraction
         base = [linalg.int_if_integral(den * a) for a in v]
         step = [linalg.int_if_integral(den * b) for b in step]
+    elif not all(isinstance(x, Real) for x in values):
+        return "iterate closed form"
     w = base
     seen = {tuple(w)}
     for d in range(1, cert.iterates_checked + 1):

@@ -1,4 +1,7 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverslide import (
     NotAGroup,
@@ -261,3 +264,211 @@ def test_light_test_exhaustive_small_latin_squares():
             assert "inverse" in message or message == "associativity fails at (%d, %d, %d)" % witness
         counts.append(count)
     assert counts == [1, 1, 1, 4, 56, 9408]  # OEIS A000315
+
+
+# --- the builtin tables and the validator against their former cell-by-cell forms ---
+
+
+def former_builtin_table(family, *params):
+    """The builtin builders as they were, one cell at a time: (table, labels)."""
+    if family == "cyclic":
+        (m,) = params
+        return [[(x + y) % m for y in range(m)] for x in range(m)], [str(x) for x in range(m)]
+    if family == "dihedral":
+        (m,) = params
+
+        def mul(x, y):
+            i1, j1 = x % m, x // m
+            i2, j2 = y % m, y // m
+            return (i1 + (i2 if j1 == 0 else -i2)) % m + m * ((j1 + j2) % 2)
+
+        labels = []
+        for x in range(2 * m):
+            i, j = x % m, x // m
+            rot = "e" if i == 0 else ("r" if i == 1 else f"r{i}")
+            labels.append(rot if j == 0 else ("s" if i == 0 else rot + "s"))
+        return [[mul(x, y) for y in range(2 * m)] for x in range(2 * m)], labels
+    if family == "symmetric":
+        (k,) = params
+        perms = sorted(permutations(range(k)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[q[t]] for t in range(k))] for q in perms] for p in perms]
+        return table, ["".join(str(t) for t in p) for p in perms]
+    p, k = params
+
+    def coords(x):
+        out = []
+        for _ in range(k):
+            x, r = divmod(x, p)
+            out.append(r)
+        return tuple(out)
+
+    def index(v):
+        acc = 0
+        for t in reversed(range(k)):
+            acc = acc * p + v[t]
+        return acc
+
+    table = [
+        [index([(a + b) % p for a, b in zip(coords(x), coords(y))]) for y in range(p**k)]
+        for x in range(p**k)
+    ]
+    return table, ["".join(str(d) for d in coords(x)) for x in range(p**k)]
+
+
+BUILTIN_SPECS = (
+    [("cyclic", (m,)) for m in range(1, 65)]
+    + [("dihedral", (m,)) for m in range(1, 41)]
+    + [("symmetric", (k,)) for k in range(1, 6)]
+    + [("elementary_abelian", (2, k)) for k in range(1, 8)]
+    + [("elementary_abelian", (3, k)) for k in range(1, 5)]
+    + [("elementary_abelian", (5, k)) for k in range(1, 4)]
+)
+
+
+def test_builtin_tables_match_former_builders():
+    for family, params in BUILTIN_SPECS:
+        table, labels = former_builtin_table(family, *params)
+        assert table[0] == list(range(len(table)))  # identity at 0: no relabeling
+        G = builtin_group(family, *params)
+        assert G.mul == tuple(map(tuple, table)), (family, params)
+        assert G.inv == tuple(row.index(0) for row in table), (family, params)
+        assert G.labels == tuple(labels), (family, params)
+
+
+def former_from_mul_table(table, labels=None):
+    """The validator as it was, one cell at a time, with the full
+    associativity sweep (Light's test accepts exactly the same tables)."""
+    rows = [list(r) for r in table]
+    m = len(rows)
+    if m == 0:
+        raise NotAGroup("empty table")
+    for x, r in enumerate(rows):
+        if len(r) != m:
+            raise NotAGroup(f"table not square: row {x} has length {len(r)}, expected {m}")
+        for y, v in enumerate(r):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
+                raise NotAGroup(f"entry out of range at ({x}, {y}): {v!r}")
+    for x, r in enumerate(rows):
+        if len(set(r)) != m:
+            raise NotAGroup(f"row {x} is not a permutation of 0..{m - 1}")
+    for y in range(m):
+        if len({rows[x][y] for x in range(m)}) != m:
+            raise NotAGroup(f"column {y} is not a permutation of 0..{m - 1}")
+    ident = None
+    for e in range(m):
+        if all(rows[e][x] == x for x in range(m)) and all(rows[x][e] == x for x in range(m)):
+            ident = e
+            break
+    if ident is None:
+        raise NotAGroup("no two-sided identity element")
+    label_list = [str(s) for s in labels] if labels is not None else None
+    if label_list is not None and len(label_list) != m:
+        raise NotAGroup(f"labels length {len(label_list)} != order {m}")
+    if ident != 0:
+        perm = list(range(m))
+        perm[0], perm[ident] = ident, 0
+        relabeled = [[0] * m for _ in range(m)]
+        for x in range(m):
+            for y in range(m):
+                relabeled[perm[x]][perm[y]] = perm[rows[x][y]]
+        rows = relabeled
+        if label_list is not None:
+            moved = [""] * m
+            for old, new in enumerate(perm):
+                moved[new] = label_list[old]
+            label_list = moved
+    if label_list is None:
+        label_list = ["e" if x == 0 else f"g{x}" for x in range(m)]
+    inv = [0] * m
+    for x in range(m):
+        y = rows[x].index(0)
+        if rows[y][x] != 0:
+            raise NotAGroup(f"inverse failure: {x}*{y} = e but {y}*{x} = {rows[y][x]}")
+        inv[x] = y
+    witness = first_associativity_failure(rows)
+    if witness is not None:
+        raise NotAGroup("associativity fails at (%d, %d, %d)" % witness)
+    return tuple(map(tuple, rows)), tuple(inv), tuple(label_list)
+
+
+class Int(int):
+    pass
+
+
+def _validated(validate, table, labels):
+    try:
+        G = validate(table, labels)
+    except NotAGroup as exc:
+        return "NotAGroup", str(exc)
+    return G if isinstance(G, tuple) else (G.mul, G.inv, G.labels)
+
+
+# tables to perturb: groups; the non-associative loops of order 5 (two of them
+# have two-sided inverses and fail only associativity); Latin squares with no
+# identity and with a left identity only
+GROUP_TABLES = [list(map(list, builtin_group_from_string(spec).mul))
+                for spec in ("cyclic:1", "cyclic:2", "cyclic:5", "elementary_abelian:2,2",
+                             "symmetric:3", "dihedral:4")]
+LOOPS_5 = [t for t in normalized_latin_squares(5) if first_associativity_failure(t)]
+NO_IDENTITY = [[(2 * x + 3 * y) % 5 for y in range(5)] for x in range(5)]
+LEFT_IDENTITY_ONLY = [[(y - x) % 3 for y in range(3)] for x in range(3)]
+ODD_ENTRIES = [True, False, 1.0, 0.0, Int(1), Int(0), -1, None, "1"]
+
+
+@st.composite
+def perturbed_tables(draw):
+    base = draw(st.sampled_from(GROUP_TABLES) | st.sampled_from(LOOPS_5)
+                | st.sampled_from([NO_IDENTITY, LEFT_IDENTITY_ONLY]))
+    table = [row[:] for row in base]
+    m = len(table)
+    perm = draw(st.permutations(range(m)))  # a relabeling moves the identity off 0
+    table = [[perm[table[perm.index(x)][perm.index(y)]] for y in range(m)] for x in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["entry", "out of range", "short row", "long row",
+                                     "row swap", "column swap", "drop row"]))
+        x = draw(st.integers(0, len(table) - 1))
+        y = draw(st.integers(0, max(len(table[x]) - 1, 0)))
+        if not table[x]:
+            continue
+        if kind == "entry":
+            table[x][y] = draw(st.sampled_from(ODD_ENTRIES))
+        elif kind == "out of range":
+            table[x][y] = draw(st.sampled_from([m, m + 1, -1]))
+        elif kind == "short row":
+            table[x] = table[x][:-1]
+        elif kind == "long row":
+            table[x] = table[x] + [table[x][0]]
+        elif kind == "row swap":
+            z = draw(st.integers(0, len(table[x]) - 1))
+            table[x][y], table[x][z] = table[x][z], table[x][y]
+        elif kind == "column swap":
+            z = draw(st.integers(0, len(table) - 1))
+            if y < len(table[z]):
+                table[x][y], table[z][y] = table[z][y], table[x][y]
+        elif len(table) > 1:
+            del table[x]
+    labels = draw(st.none() | st.just([f"x{i}" for i in range(m)]))
+    return table, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_tables())
+def test_validator_matches_former_validator(case):
+    table, labels = case
+    assert _validated(from_mul_table, table, labels) == _validated(
+        former_from_mul_table, table, labels)
+
+
+def test_validator_cases_reach_every_outcome():
+    # the shapes the perturbed tables above rely on, once each
+    k = [row[:] for row in KLEIN_TABLE]
+    k[1][2], k[1][3] = k[1][3], k[1][2]  # rows stay permutations, columns do not
+    for table in (k, [[0, 1], [1, True]], [[0, 1], [1, Int(0)]], [[0, 1.0], [1, 0]],
+                  [[0, 1], [1, 0, 1]], NO_IDENTITY, LEFT_IDENTITY_ONLY, *LOOPS_5):
+        assert _validated(from_mul_table, table, None) == _validated(
+            former_from_mul_table, table, None)
+    assert _validated(from_mul_table, k, None)[1] == "column 2 is not a permutation of 0..3"
+    assert _validated(from_mul_table, [[0, 1], [1, Int(0)]], None)[0] == ((0, 1), (1, 0))
+    for table in (NO_IDENTITY, LEFT_IDENTITY_ONLY):
+        assert _validated(from_mul_table, table, None)[1] == "no two-sided identity element"

@@ -34,6 +34,21 @@ def test_writer_matches_json_dumps(obj):
     assert cli._dumps(obj) == dumps(obj)
 
 
+PRINTABLE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PRINTABLE, max_size=8) | st.lists(PRINTABLE | TEXT, max_size=8), st.integers(0, 2))
+def test_string_lists_match_json_dumps(strings, depth):
+    # lists of printable ASCII, quotes and backslashes included, and lists
+    # that mix in control characters, DEL, non-ASCII text and ""
+    obj = strings
+    for _ in range(depth):
+        obj = {"k": [obj, strings]}
+    assert cli._dumps(obj) == dumps(obj)
+    assert cli._dumps(tuple(strings)) == dumps(strings)
+
+
 def test_writer_edge_values():
     for obj in ({}, [], [[]], {"a": {}}, [[], {}], ["x", 1], [1, "x"], {"10": 1, "2": [True, None]}):
         assert cli._dumps(obj) == dumps(obj)

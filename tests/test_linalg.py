@@ -135,3 +135,25 @@ def test_one_text_for_a_rational():
     parsed = [parse_rational(t) for t in text[:5]]
     assert parsed == values[:5]
     assert [type(x) for x in parsed] == [int, int, int, Fraction, int]
+
+
+class Int(int):
+    pass
+
+
+EXACT_ENTRIES = (
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(3, 1), Fraction(-7, 3)])
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.fractions()
+)
+OTHER_ENTRIES = st.sampled_from([0.0, -0.0, 0.5, True, False, None, Int(0), Int(5), "0", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(EXACT_ENTRIES, max_size=8) | st.lists(EXACT_ENTRIES | OTHER_ENTRIES, max_size=8),
+                max_size=6))
+def test_matrix_text_is_str_of_each_entry(rows):
+    # ragged and empty rows, rows of ints and Fractions only, and rows mixing
+    # in floats, bools, None, an int subclass and strings
+    assert matrix_to_json(rows) == [list(map(str, row)) for row in rows]

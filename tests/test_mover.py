@@ -304,6 +304,26 @@ def test_verify_rejects_tampered_matrix(klein_n3_cover, klein_n3_basis):
     assert "matrix vs formula" in check.failures
 
 
+
+@pytest.mark.parametrize("x", ["0", None, [1], 1j])
+def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n3_basis, x):
+    """A certificate entry that is no real number fails the iterate check
+    instead of being multiplied: ``"0"`` is truthy, and ``"0" * 1`` once
+    reached ``int + str`` and raised TypeError."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+
+    def put(row):
+        for c in (0, 1, 6):
+            row[c] = x
+        return row
+
+    for bad in (_with_row(cert, 0, put), _with_increment(cert, lambda inc: put(inc))):
+        check = verify_certificate(Y, B, v, bad)
+        assert not check
+        assert "iterate closed form" in check.failures
+
 def test_verify_rejects_wrong_orbit_rank_claim(klein_n3_cover, klein_n3_basis):
     Y, B = klein_n3_cover, klein_n3_basis
     v = unit_vector(B.rank, 1)
