@@ -17,7 +17,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .groups import FiniteGroup, closure, left_cosets, subgroup_generated
+from .groups import (
+    FiniteGroup,
+    closure,
+    generator_count_lower_bound,
+    left_cosets,
+    subgroup_generated,
+)
 
 Letter = tuple[int, int]  # (petal index, +1 or -1)
 Edge = tuple[int, int]  # (tail vertex = group element index, petal index)
@@ -304,11 +310,13 @@ def standard_images(group: FiniteGroup, n: int) -> tuple[int, ...] | None:
 
     The answer is the lexicographically first generating set of the smallest
     size k <= n, padded with the identity, so the choice is deterministic.  It
-    is found by a depth-first search over increasing elements, for k = 1, 2,
-    ..., that grows the subgroup ``H`` generated by the chosen prefix one
-    element at a time.  Each prune skips only branches that hold no generating
-    set of size k lexicographically before the first one, so the answer is
-    that of a scan over all k-subsets:
+    is found by a depth-first search over increasing elements, for k = b,
+    b + 1, ..., that grows the subgroup ``H`` generated by the chosen prefix
+    one element at a time.  b is :func:`generator_count_lower_bound`: no
+    smaller k can succeed, and when b > n the answer is None at once.  Each
+    prune skips only branches that hold no generating set of size k
+    lexicographically before the first one, so the answer is that of a scan
+    over all k-subsets:
 
     * an element of ``H`` is skipped: a smallest generating set is irredundant;
     * an element of ``<H, g'>`` for an earlier sibling ``g'`` whose branch
@@ -346,7 +354,7 @@ def standard_images(group: FiniteGroup, n: int) -> tuple[int, ...] | None:
             covered |= K
         return None
 
-    for k in range(1, n + 1):
+    for k in range(max(generator_count_lower_bound(group), 1), n + 1):
         found = search(frozenset((0,)), [], 1, k)
         if found is not None:
             return tuple(found) + (0,) * (n - k)

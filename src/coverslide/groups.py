@@ -200,13 +200,7 @@ def _light_associative(rows: Sequence[Sequence[int]]) -> bool:
     associative.  Every element reached from 0 by right multiplications by
     ``gens`` is a product of generators, and a product of elements that
     associate with all pairs does too."""
-    m = len(rows)
-    gens: list[int] = []
-    reached = {0}
-    for x in range(1, m):
-        if x not in reached:
-            gens.append(x)
-            reached = closure(rows, gens, reached)
+    gens = _greedy_generators(rows)
     for y in gens:
         ry = rows[y]
         for rx in rows:
@@ -214,6 +208,18 @@ def _light_associative(rows: Sequence[Sequence[int]]) -> bool:
             if rows[rx[y]] != list(map(rx.__getitem__, ry)):
                 return False
     return True
+
+
+def _greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Each element in turn that the closure of the earlier ones misses; in a
+    group they generate it, and there are at most log2 of the order."""
+    gens: list[int] = []
+    reached = {0}
+    for x in range(1, len(rows)):
+        if x not in reached:
+            gens.append(x)
+            reached = closure(rows, gens, reached)
+    return gens
 
 
 def _is_prime(p: int) -> bool:
@@ -377,6 +383,53 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, ...]]:
     return blocks
 
 
+def generator_count_lower_bound(group: FiniteGroup) -> int:
+    """A lower bound on the size of a generating set of the group: the
+    largest ``dim`` over ``F_p``, for a prime p dividing the order, of the
+    elementary abelian quotient ``G / ([G, G] G^p)``.  A generating set of G
+    maps onto a spanning set of that vector space.  For a p-group the bound is
+    the exact minimum (Burnside's basis theorem).
+
+    With S a generating set, ``[G, G] G^p`` is the normal closure of the
+    commutators and p-th powers of S: modulo that closure S commutes and has
+    exponent p, and every commutator and p-th power lies in ``[G, G] G^p``.
+    """
+    m = group.order
+    mul, inv = group.mul, group.inv
+    gens = _greedy_generators(mul)
+    bound = 0
+    for p in _prime_divisors(m):
+        kernel_gens = [mul[mul[a][b]][inv[mul[b][a]]] for a in gens for b in gens]
+        kernel_gens += [group.power(s, p) for s in gens]
+        N = closure(mul, kernel_gens)
+        # conjugate each generator of N by each generator of G until N is normal
+        for x in kernel_gens:
+            for s in gens:
+                y = mul[mul[s][x]][inv[s]]
+                if y not in N:
+                    kernel_gens.append(y)
+                    N = closure(mul, kernel_gens, N)
+        quotient, dim = m // len(N), 0
+        while quotient > 1:
+            quotient //= p
+            dim += 1
+        bound = max(bound, dim)
+    return bound
+
+
+def _prime_divisors(m: int) -> list[int]:
+    primes, p = [], 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return primes
+
+
 def element_order(group: FiniteGroup, x: int) -> int:
     if not 0 <= x < group.order:
         raise ValueError(f"element index {x} out of range")
@@ -397,8 +450,18 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict, *, trusted: bool = False) -> FiniteGroup:
+    """The group of a JSON document ``{"mul": [[...], ...], "labels": [...]}``
+    (``labels`` and ``order`` optional); :class:`NotAGroup` for a document of
+    any other shape."""
+    if not isinstance(data, dict):
+        raise NotAGroup(f"group JSON must be an object, not {type(data).__name__}")
     if "mul" not in data:
         raise NotAGroup("group JSON needs a 'mul' table")
-    if "order" in data and data["order"] != len(data["mul"]):
-        raise NotAGroup(f"declared order {data['order']} != table size {len(data['mul'])}")
-    return from_mul_table(data["mul"], data.get("labels"), trusted=trusted)
+    table, labels = data["mul"], data.get("labels")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise NotAGroup("group JSON 'mul' must be a list of lists")
+    if labels is not None and not isinstance(labels, list):
+        raise NotAGroup(f"group JSON 'labels' must be a list, not {type(labels).__name__}")
+    if "order" in data and data["order"] != len(table):
+        raise NotAGroup(f"declared order {data['order']} != table size {len(table)}")
+    return from_mul_table(table, labels, trusted=trusted)

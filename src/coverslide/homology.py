@@ -15,7 +15,7 @@ keeps the canonical edge order (tail ascending, then petal).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -87,7 +87,12 @@ def cocycle_eval(xi: EdgeCocycle, z: Mapping[Edge, Rational]) -> Rational:
 
 @dataclass(eq=False)
 class HomologyBasis:
-    """Spanning tree, cotree, and fundamental cycle basis of a (sub)graph."""
+    """Spanning tree, cotree, and fundamental cycle basis of a (sub)graph.
+
+    ``slide_memo`` maps a petal to the facts of one lifted slide on this
+    basis that :mod:`coverslide.mover` computes once and reads on every later
+    move and re-check (see ``mover._slide_facts``).  It holds plain data and
+    never the basis, so the basis is freed by reference counting."""
 
     cover: CoverGraph
     root: int
@@ -99,6 +104,7 @@ class HomologyBasis:
     cotree: tuple[Edge, ...]
     cycles: tuple[Chain1, ...]
     cotree_index: dict
+    slide_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -109,31 +115,54 @@ def _build_basis(Y: CoverGraph, vertices: Sequence[int], edges: Sequence[Edge], 
     edge_set = frozenset(edges)
     mul, inv, images = Y.group.mul, Y.group.inv, Y.images
     parent: dict[int, tuple[int, Edge, int]] = {}
-    seen = {root}
+    depth = {root: 0}
     queue = deque([root])
     while queue:
         u = queue.popleft()
+        du = depth[u] + 1
         for i in range(1, Y.n + 1):
             img = images[i - 1]
             fwd = (u, i)
             if fwd in edge_set:
                 v = mul[u][img]
-                if v not in seen:
-                    seen.add(v)
+                if v not in depth:
+                    depth[v] = du
                     parent[v] = (u, fwd, 1)
                     queue.append(v)
             w = mul[u][inv[img]]
             bwd = (w, i)
-            if bwd in edge_set and w not in seen:
-                seen.add(w)
+            if bwd in edge_set and w not in depth:
+                depth[w] = du
                 parent[w] = (u, bwd, -1)
                 queue.append(w)
-    if len(seen) != len(vertices):
+    if len(depth) != len(vertices):
         raise ValueError("graph is not connected; no spanning tree exists")
 
     tree = frozenset(e for (_, e, _) in parent.values())
     cotree = tuple(e for e in edges if e not in tree)
-    B = HomologyBasis(
+    cycles = []
+    for e in cotree:
+        # walk both ends up the tree only until they meet; the cycle is the
+        # tail branch (root side first), the edge, then the head branch
+        t, h = e[0], mul[e[0]][images[e[1] - 1]]
+        up_t: list[tuple[Edge, int]] = []
+        up_h: list[tuple[Edge, int]] = []
+        while depth[t] > depth[h]:
+            t, e2, d = parent[t]
+            up_t.append((e2, d))
+        while depth[h] > depth[t]:
+            h, e2, d = parent[h]
+            up_h.append((e2, -d))
+        while t != h:
+            t, e2, d = parent[t]
+            up_t.append((e2, d))
+            h, e2, d = parent[h]
+            up_h.append((e2, -d))
+        z: Chain1 = dict(reversed(up_t))
+        z[e] = 1
+        z.update(reversed(up_h))
+        cycles.append(z)
+    return HomologyBasis(
         cover=Y,
         root=root,
         vertices=tuple(vertices),
@@ -142,21 +171,9 @@ def _build_basis(Y: CoverGraph, vertices: Sequence[int], edges: Sequence[Edge], 
         parent=parent,
         tree=tree,
         cotree=cotree,
-        cycles=(),
+        cycles=tuple(cycles),
         cotree_index={e: k for k, e in enumerate(cotree)},
     )
-
-    cycles = []
-    for e in cotree:
-        z: Chain1 = {}
-        for e2, d in tree_path_steps(B, e[0]):
-            chain_add(z, e2, d)
-        chain_add(z, e, 1)
-        for e2, d in tree_path_steps(B, Y.edge_head(e)):
-            chain_add(z, e2, -d)
-        cycles.append(z)
-    B.cycles = tuple(cycles)
-    return B
 
 
 def cycle_basis(Y: CoverGraph) -> HomologyBasis:

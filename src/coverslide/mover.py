@@ -18,6 +18,15 @@ candidate integer combinations of its fundamental cycles are enumerated
 deterministically (unit vectors, then small 0/1 combinations, then seeded
 random vectors with entry bounds doubling up to a fixed cap) and the first
 candidate whose deck orbit has full rank wins.
+
+Moving many classes on one cover repeats one slide per petal, so the values
+that depend only on (cover, basis, petal, loop) and not on v or on the
+certificate are computed once per basis and kept in ``B.slide_memo``, one
+entry per petal: the loop's lifted chain and class, the orbit rank of that
+class, the formula's columns, the oracle's columns (kept as the formula's
+own list once they are found equal) and the translate classes.  Every check
+of :func:`verify_certificate` still runs on every call, against the
+certificate's own fields.
 """
 
 from __future__ import annotations
@@ -42,7 +51,14 @@ from .homology import (
     orbit_rank_of_chain,
     tree_path_steps,
 )
-from .slides import lifted_action_formula, lifted_action_oracle, make_slide, slide_increment
+from .slides import (
+    LiftedSlide,
+    SlideAutomorphism,
+    lifted_action_formula,
+    lifted_action_oracle,
+    make_slide,
+    slide_increment,
+)
 
 DEFAULT_MAX_CANDIDATES = 10_000
 DEFAULT_ITERATE_DEPTH = 10
@@ -101,6 +117,61 @@ class CertificateCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@dataclass(frozen=True)
+class _SlideFacts:
+    """What :func:`verify_certificate` compares a certificate against for one
+    slide on one basis: nothing here depends on v or on the certificate.
+
+    Keyed by the cover object and the slide (petal and loop word); plain data
+    only, never the basis.  ``oracle`` is ``columns`` itself once the oracle's
+    columns are found equal to the formula's."""
+
+    cover: CoverGraph
+    slide: SlideAutomorphism
+    ell_chain: Chain1
+    ell_class: list
+    orbit_rank: int
+    columns: list
+    oracle: list
+    translate_classes: dict
+
+    def lifted(self, B: HomologyBasis) -> LiftedSlide:
+        """A :class:`LiftedSlide` view on these facts; its translate classes
+        fill the memo's dict."""
+        return LiftedSlide(
+            slide=self.slide,
+            cover=self.cover,
+            basis=B,
+            ell_chain=self.ell_chain,
+            ell_class=self.ell_class,
+            columns=self.columns,
+            _translate_classes=self.translate_classes,
+        )
+
+
+def _slide_facts(Y: CoverGraph, B: HomologyBasis, j: int, ell: Word) -> _SlideFacts:
+    """The facts of the slide of petal j along ell, from ``B.slide_memo`` when
+    its petal-j entry is for this cover object and loop, else computed (the
+    formula, the oracle and one orbit rank) and stored in place of it.  Raises
+    what :func:`make_slide`, the formula or the oracle raise, storing nothing."""
+    facts = B.slide_memo.get(j)
+    if facts is None or facts.cover is not Y or facts.slide.ell != ell:
+        L = lifted_action_formula(make_slide(Y.n, j, ell), Y, B)
+        oracle = lifted_action_oracle(L.slide, Y, B)
+        facts = _SlideFacts(
+            cover=Y,
+            slide=L.slide,
+            ell_chain=L.ell_chain,
+            ell_class=L.ell_class,
+            orbit_rank=orbit_rank_of_chain(Y, B, L.ell_chain),
+            columns=L.columns,
+            oracle=L.columns if oracle == L.columns else oracle,
+            translate_classes=L._translate_classes,
+        )
+        B.slide_memo[j] = facts
+    return facts
 
 
 def find_pairing_edge(
@@ -208,7 +279,8 @@ def move_vector(
     before returning; if any check fails it raises :class:`CertificateFailed`
     naming them.  The optional ``loop_cache`` maps petal -> found loop and
     only short-circuits the (v-independent) search, so results are identical
-    with or without it.
+    with or without it.  The formula's columns come from the basis's slide
+    memo (see the module docstring); the certificate gets its own copies.
     """
     if not 1 <= depth <= MAX_ITERATE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_ITERATE_DEPTH}, got {depth}")
@@ -224,13 +296,13 @@ def move_vector(
         ell = find_slide_loop(Y, B, j, max_candidates=max_candidates, seed=seed)
         if loop_cache is not None:
             loop_cache[j] = ell
-    L = lifted_action_formula(make_slide(Y.n, j, ell), Y, B)
+    L = _slide_facts(Y, B, j, ell).lifted(B)
     increment = slide_increment(L, list(v), chain=chain_v)
     cert = MoveCertificate(
         petal=j,
         pairing_edge=(g_star, j),
         ell=ell,
-        ell_class=L.ell_class,
+        ell_class=list(L.ell_class),
         # the search accepts only full rank; the self-check recomputes it
         orbit_rank_value=Y.group.order,
         increment=increment,
@@ -257,6 +329,12 @@ def verify_certificate(
     nonzeros, on ``den * v`` with ``den`` the lcm of v's denominators, and
     compares every step with ``den * (v + d * increment)``; the map is linear,
     so this is the same exact check as on v itself, in integers.
+
+    The values that depend only on the cover, the basis, the petal and the
+    loop are computed once per basis and read from ``B.slide_memo`` on later
+    calls: the loop's lifted class, its orbit rank, the formula's and the
+    oracle's columns and the translate classes behind the increment.  Every
+    check still runs on every call, against the certificate's own fields.
     """
     failures: list[str] = []
     order = Y.group.order
@@ -278,11 +356,16 @@ def verify_certificate(
     if pe[1] != j or chain_v.get(pe, 0) == 0:
         failures.append("pairing edge")
 
+    facts = _slide_facts(Y, B, j, cert.ell) if property1 and closed else None
     if closed:
-        ell_chain = chain_of_path(lift_word(Y, cert.ell, 0))
-        if chain_to_class(B, ell_chain) != list(cert.ell_class):
+        if facts is not None:
+            ell_class, rank_value = facts.ell_class, facts.orbit_rank
+        else:
+            ell_chain = chain_of_path(lift_word(Y, cert.ell, 0))
+            ell_class = chain_to_class(B, ell_chain)
+            rank_value = orbit_rank_of_chain(Y, B, ell_chain)
+        if ell_class != list(cert.ell_class):
             failures.append("loop class mismatch")
-        rank_value = orbit_rank_of_chain(Y, B, ell_chain)
         if rank_value != order or cert.orbit_rank_value != rank_value:
             failures.append("property 3")
     else:
@@ -291,13 +374,15 @@ def verify_certificate(
     if linalg.vec_is_zero(cert.increment):
         failures.append("increment nonzero")
 
-    if property1 and closed:
-        L = lifted_action_formula(make_slide(Y.n, j, cert.ell), Y, B)
-        if columns is None or columns != L.columns:
+    if facts is not None:
+        differs = columns is None or columns != facts.columns
+        if differs:
             failures.append("matrix vs formula")
-        if columns is None or columns != lifted_action_oracle(L.slide, Y, B):
+        if facts.oracle is not facts.columns:
+            differs = columns is None or columns != facts.oracle
+        if differs:
             failures.append("matrix vs oracle")
-        if slide_increment(L, v, chain=chain_v) != list(cert.increment):
+        if slide_increment(facts.lifted(B), v, chain=chain_v) != list(cert.increment):
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")

@@ -90,6 +90,20 @@ def test_bad_config_exit_2(capsys):
         assert "--depth" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"mul": [1, 2]}, {"mul": 5}, {"mul": [[0]], "labels": 3}, 5],
+    ids=["rows not lists", "mul not a list", "labels not a list", "not an object"],
+)
+def test_bad_group_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "build", "--group", str(path), "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: group file") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_move_depth_over_bound_exit_2():
     # run in a subprocess so that a missing bound shows as a timeout, not a hang;
     # the depth is refused before the cover is built

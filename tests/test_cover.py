@@ -25,6 +25,7 @@ from coverslide import (
     subgroup_generated,
     to_dot,
 )
+from coverslide.groups import generator_count_lower_bound
 
 words = st.builds(
     Word,
@@ -337,6 +338,112 @@ def test_standard_images_elementary_abelian_2_6():
     # subsets of size <= 6 takes minutes
     G = builtin_group("elementary_abelian", 2, 6)
     assert standard_images(G, 6) == (1, 2, 4, 8, 16, 32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        (
+            ("symmetric:3",),
+            ("symmetric:4",),
+            ("dihedral:6",),
+            ("cyclic:12",),
+            ("elementary_abelian:3,2",),
+            ("elementary_abelian:2,3",),
+            ("dihedral:4", "cyclic:2"),
+            ("cyclic:4", "elementary_abelian:2,2"),
+            ("dihedral:3", "cyclic:4"),
+            ("cyclic:6", "cyclic:6"),
+            ("symmetric:3", "cyclic:3"),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_generator_bound_never_exceeds_found_size(specs, rng):
+    """The lower bound standard_images starts from is at most the size of the
+    generating set it finds, on relabeled groups and products; on a group of
+    prime-power order it is that size (Burnside's basis theorem)."""
+    table = product_table(*specs)
+    m = len(table)
+    perm = [0] + rng.sample(range(1, m), m - 1)
+    relabeled = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            relabeled[perm[x]][perm[y]] = perm[table[x][y]]
+    G = from_mul_table(relabeled)
+    bound = generator_count_lower_bound(G)
+    found = None
+    for n in range(2, 5):
+        images = standard_images(G, n)
+        if images is not None:
+            found = sum(1 for x in images if x)
+            assert bound <= found, (specs, perm, n)
+    assert found is not None
+    primes = {p for p in (2, 3, 5, 7) if m % p == 0}
+    if len(primes) == 1:
+        assert bound == found, (specs, perm)
+
+
+def quotient_dim_bound(G):
+    """The bound from its definition: [G, G] G^p is generated by every
+    commutator and every p-th power."""
+    m, mul, inv = G.order, G.mul, G.inv
+    best = 0
+    for p in (q for q in range(2, m + 1) if m % q == 0 and all(q % d for d in range(2, q))):
+        gens = {mul[mul[a][b]][inv[mul[b][a]]] for a in range(m) for b in range(m)}
+        gens |= {G.power(a, p) for a in range(m)}
+        index, dim = m // len(subgroup_generated(G, gens)), 0
+        while index > 1:
+            assert index % p == 0
+            index //= p
+            dim += 1
+        best = max(best, dim)
+    return best
+
+
+def relabeled_group(G, perm):
+    """G with element x renamed perm[x] (perm[0] == 0), labels kept."""
+    m = G.order
+    table = [[0] * m for _ in range(m)]
+    labels = [""] * m
+    for x in range(m):
+        labels[perm[x]] = G.labels[x]
+        for y in range(m):
+            table[perm[x]][perm[y]] = perm[G.mul[x][y]]
+    return from_mul_table(table, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("symmetric:3", "symmetric:4", "dihedral:6", "dihedral:4", "cyclic:12",
+                     "elementary_abelian:3,2", "elementary_abelian:2,3")),
+    st.randoms(use_true_random=False),
+)
+def test_generator_bound_matches_its_definition(spec, rng):
+    G = builtin_group_from_string(spec)
+    H = relabeled_group(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+    assert generator_count_lower_bound(H) == quotient_dim_bound(H)
+
+
+def test_generator_bound_takes_the_normal_closure():
+    # relabeled so that the greedy generating set is (04231, 12403): their
+    # commutators and fifth powers generate a subgroup of order 4 that is not
+    # normal, so only its normal closure (all of S5) gives the F_5 quotient
+    perm = list(range(120))
+    perm[1], perm[21], perm[2], perm[34] = 21, 1, 34, 2
+    G = relabeled_group(builtin_group_from_string("symmetric:5"), perm)
+    assert G.labels[1:3] == ("04231", "12403")
+    assert generator_count_lower_bound(G) == quotient_dim_bound(G) == 1
+
+
+def test_standard_images_refuses_below_the_bound_at_once():
+    # the bound alone decides: 7 > 6 and 6 > 5 generators are needed, so no
+    # subgroup is visited (these took 8.9 s and about 90 s by the full search)
+    assert generator_count_lower_bound(builtin_group("elementary_abelian", 2, 7)) == 7
+    assert standard_images(builtin_group("elementary_abelian", 2, 7), 6) is None
+    assert standard_images(builtin_group("elementary_abelian", 3, 6), 5) is None
+    assert generator_count_lower_bound(builtin_group("symmetric", 5)) == 1
+    assert generator_count_lower_bound(builtin_group("trivial")) == 0
 
 
 def test_dot_export(mod2_cover):

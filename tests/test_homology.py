@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from coverslide import (
     NotACycle,
     Word,
     basis_to_json,
+    builtin_group_from_string,
     chain_of_path,
     chain_to_class,
     character,
@@ -17,9 +19,11 @@ from coverslide import (
     deck_action_matrix,
     inclusion_rank_test,
     lift_word,
+    make_cover,
     orbit_rank,
     orbit_rank_of_chain,
     petal_complement_components,
+    standard_images,
     subgroup_generated,
     translate_chain,
 )
@@ -36,6 +40,8 @@ from coverslide.linalg import (
     vec_sub,
     vector_to_json,
 )
+
+from coverslide.homology import chain_add, tree_path_steps
 
 from helpers import battery_covers
 
@@ -280,3 +286,82 @@ def test_basis_json(mod2_basis):
     assert data["root"] == 0
     assert len(data["tree"]) == 3
     assert len(data["cotree"]) == 5
+
+
+# --- fundamental cycles against the former builder ------------------------------
+
+
+def former_basis(Y, vertices, edges, root):
+    """The former builder: the same breadth-first tree, and each fundamental
+    cycle from both full root paths, cancelled with ``chain_add``."""
+    edge_set = frozenset(edges)
+    mul, inv, images = Y.group.mul, Y.group.inv, Y.images
+    parent = {}
+    seen = {root}
+    queue = [root]
+    while queue:
+        u = queue.pop(0)
+        for i in range(1, Y.n + 1):
+            img = images[i - 1]
+            fwd = (u, i)
+            if fwd in edge_set:
+                v = mul[u][img]
+                if v not in seen:
+                    seen.add(v)
+                    parent[v] = (u, fwd, 1)
+                    queue.append(v)
+            w = mul[u][inv[img]]
+            bwd = (w, i)
+            if bwd in edge_set and w not in seen:
+                seen.add(w)
+                parent[w] = (u, bwd, -1)
+                queue.append(w)
+    tree = frozenset(e for (_, e, _) in parent.values())
+    cotree = tuple(e for e in edges if e not in tree)
+    T = SimpleNamespace(root=root, parent=parent)  # what tree_path_steps reads
+    cycles = []
+    for e in cotree:
+        z = {}
+        for e2, d in tree_path_steps(T, e[0]):
+            chain_add(z, e2, d)
+        chain_add(z, e, 1)
+        for e2, d in tree_path_steps(T, Y.edge_head(e)):
+            chain_add(z, e2, -d)
+        cycles.append(z)
+    return parent, cotree, cycles
+
+
+def _bases_and_former(Y):
+    yield cycle_basis(Y), former_basis(Y, list(Y.vertices()), list(Y.edges()), 0)
+    for j in range(1, Y.n + 1):
+        for comp in petal_complement_components(Y, j):
+            yield component_basis(comp), former_basis(Y, comp.vertices, comp.edges, comp.coset_rep)
+
+
+@pytest.mark.parametrize(
+    "spec, n, images",
+    [
+        ("cyclic:3", 3, (1, 1, 0)),  # loop edges
+        ("cyclic:4", 3, (1, 1, 1)),  # parallel edges
+        ("cyclic:64", 3, (1, 0, 0)),
+        ("dihedral:16", 3, (1, 16, 0)),
+        ("symmetric:4", 3, None),
+        ("elementary_abelian:2,4", 5, None),
+        ("elementary_abelian:3,2", 3, None),
+    ],
+)
+def test_fundamental_cycles_match_former_builder(spec, n, images):
+    """Cycles walked from the meeting vertex have the former cycles' items in
+    the same order, on the cover basis and on every petal-complement
+    component basis."""
+    G = builtin_group_from_string(spec)
+    Y = make_cover(G, images or standard_images(G, n))
+    for B, (parent, cotree, cycles) in _bases_and_former(Y):
+        assert B.parent == parent and B.cotree == cotree
+        assert [list(z.items()) for z in B.cycles] == [list(z.items()) for z in cycles]
+
+
+def test_battery_cycles_match_former_builder():
+    for name, Y, _ in battery_covers():
+        for B, (_, _, cycles) in _bases_and_former(Y):
+            assert [list(z.items()) for z in B.cycles] == [list(z.items()) for z in cycles], name

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import json
+import weakref
 from fractions import Fraction
 from itertools import islice
 
@@ -550,3 +553,171 @@ def test_matrix_checks_match_dense_comparison(klein_n3_cover, klein_n3_basis, mo
                  "rows as tuples", "matrix as a tuple", "None at a zero"):
         assert {"matrix vs formula", "matrix vs oracle"} <= set(outcome[name].failures), name
     assert outcome["0.0 at a zero"].ok
+
+
+# --- the per-basis slide memo --------------------------------------------------------
+
+
+def _loop_tampered(Y, cert):
+    """Certificates whose loop-level fields are wrong: they meet the memo
+    with another loop, another petal, or the memo's own loop and wrong
+    claimed values."""
+    j = cert.petal
+    other = next(i for i in range(1, Y.n + 1) if i != j)
+    return [
+        ("ell squared", dataclasses.replace(cert, ell=cert.ell * cert.ell)),
+        ("ell_class + 1", dataclasses.replace(
+            cert, ell_class=[x + 1 for x in cert.ell_class])),
+        ("orbit rank 3", dataclasses.replace(cert, orbit_rank_value=3)),
+        ("loop through the petal", dataclasses.replace(
+            cert, ell=cert.ell * Word.generator(j) * Word.generator(j, -1))),
+        ("open loop", dataclasses.replace(cert, ell=Word.generator(other))),
+        ("other petal", dataclasses.replace(cert, petal=other)),
+        ("petal 0", dataclasses.replace(cert, petal=0)),
+        ("pairing edge moved", dataclasses.replace(
+            cert, pairing_edge=(cert.pairing_edge[0], other))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[1, 0, 0, 0, 0, 0, 0, 0, 0], [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3]],
+    ids=["unit", "p/q"],
+)
+def test_warm_basis_checks_like_a_fresh_one(klein_n3_cover, v):
+    """Every tampered certificate gets the same CertificateCheck (or the same
+    exception type) on one basis whose memo the earlier cases filled as on a
+    fresh basis per case; the memo is replaced, never trusted, when a case
+    brings another loop or petal."""
+    Y = klein_n3_cover
+    warm = cycle_basis(Y)
+    cert = move_vector(Y, warm, v)
+    cases = _tampered(cert) + _more_tampered(cert) + _loop_tampered(Y, cert)
+    cases += [("as built again", cert)]
+    for name, c in cases:
+        got = _outcome(Y, warm, v, c)
+        assert got == _outcome(Y, cycle_basis(Y), v, c), name
+    outcome = {name: _outcome(Y, cycle_basis(Y), v, c) for name, c in cases}
+    assert outcome["as built again"].ok
+    assert "loop class mismatch" in outcome["ell squared"].failures
+    assert "loop class mismatch" in outcome["ell_class + 1"].failures
+    assert "property 3" in outcome["orbit rank 3"].failures
+    assert "property 1" in outcome["loop through the petal"].failures
+
+
+def test_mutating_a_certificate_leaves_the_memo_alone(klein_n3_cover):
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+    kept = dataclasses.replace(
+        cert,
+        ell_class=list(cert.ell_class),
+        increment=list(cert.increment),
+        matrix=[row[:] for row in cert.matrix],
+    )
+    moved = next(i for i, row in enumerate(cert.matrix) if sum(map(bool, row)) > 1)
+    cert.ell_class[0] += 1
+    cert.increment[moved] += 5
+    cert.matrix[moved][0] += 1
+    cert.matrix[0].append(3)
+    assert move_vector(Y, B, v) == kept
+    assert verify_certificate(Y, B, v, kept).ok
+    fresh = cycle_basis(Y)
+    assert verify_certificate(Y, B, v, cert) == verify_certificate(Y, fresh, v, cert)
+    assert move_vector(Y, B, v) == move_vector(Y, fresh, v)
+
+
+def test_memo_computes_each_slide_once_per_basis(klein_n3_cover, monkeypatch):
+    """Many moves and re-checks on one basis run the formula, the oracle and
+    the loop's orbit rank once per petal; a second cover object, even an
+    equal one, never reads the first one's entry."""
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    calls = {"formula": 0, "oracle": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mover, "lifted_action_formula", counted("formula", mover.lifted_action_formula))
+    monkeypatch.setattr(mover, "lifted_action_oracle", counted("oracle", mover.lifted_action_oracle))
+    monkeypatch.setattr(mover, "orbit_rank_of_chain", counted("rank", mover.orbit_rank_of_chain))
+    cache: dict = {}
+    certs = []
+    for k in range(B.rank):
+        v = unit_vector(B.rank, k)
+        cert = move_vector(Y, B, v, loop_cache=cache)
+        assert verify_certificate(Y, B, v, cert).ok
+        certs.append((v, cert))
+    assert calls["formula"] == calls["oracle"] == len(B.slide_memo) == len(cache)
+    before = dict(calls)
+    for v, cert in certs:
+        assert verify_certificate(Y, B, v, cert).ok
+    assert calls == before
+
+    twin = make_cover(Y.group, Y.images)
+    assert twin == Y and twin is not Y
+    v, cert = certs[0]
+    assert verify_certificate(twin, B, v, cert).ok
+    assert calls["formula"] == before["formula"] + 1
+    assert B.slide_memo[cert.petal].cover is twin
+
+
+def test_basis_is_freed_by_reference_counting(klein_n3_cover):
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+    assert verify_certificate(Y, B, v, cert).ok
+    assert B.slide_memo
+    ref = weakref.ref(B)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del B
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_certificate_json_same_cold_and_warm(klein_n3_cover):
+    Y = klein_n3_cover
+    warm = cycle_basis(Y)
+    cache: dict = {}
+    vectors = [unit_vector(warm.rank, k) for k in range(warm.rank)]
+    vectors.append([Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3])
+
+    def text(B, v, loop_cache=None):
+        cert = move_vector(Y, B, v, loop_cache=loop_cache)
+        return json.dumps(certificate_to_json(cert, Y), indent=2, sort_keys=True)
+
+    for v in vectors:
+        text(warm, v, cache)
+    for v in vectors:
+        assert text(warm, v, cache) == text(cycle_basis(Y), v), v
+
+
+def test_memo_keeps_an_oracle_that_disagrees(klein_n3_cover, monkeypatch):
+    """When the oracle's columns differ from the formula's, the memo keeps
+    them and every later check on the basis fails "matrix vs oracle"."""
+    Y = klein_n3_cover
+    v = unit_vector(9, 0)
+    cert = move_vector(Y, cycle_basis(Y), v)
+    oracle = mover.lifted_action_oracle
+
+    def wrong_oracle(s, Y, B):
+        columns = oracle(s, Y, B)
+        columns[0][0] = columns[0].get(0, 0) + 1
+        return columns
+
+    monkeypatch.setattr(mover, "lifted_action_oracle", wrong_oracle)
+    B = cycle_basis(Y)
+    for _ in range(2):
+        check = verify_certificate(Y, B, v, cert)
+        assert check.failures == ("matrix vs oracle",)
+    with pytest.raises(CertificateFailed, match="matrix vs oracle"):
+        move_vector(Y, B, v)
