@@ -206,19 +206,6 @@ def path_end(Y: CoverGraph, p: EdgePath) -> int:
     return v
 
 
-def path_is_valid(Y: CoverGraph, p: EdgePath) -> bool:
-    v = p.start
-    for e, d in p.steps:
-        g, i = e
-        if not (0 <= g < Y.vertex_count and 1 <= i <= Y.n) or d not in (1, -1):
-            return False
-        src = Y.edge_tail(e) if d == 1 else Y.edge_head(e)
-        if src != v:
-            return False
-        v = Y.edge_head(e) if d == 1 else Y.edge_tail(e)
-    return True
-
-
 def path_is_closed(Y: CoverGraph, p: EdgePath) -> bool:
     return path_end(Y, p) == p.start
 
@@ -247,21 +234,6 @@ def lift_word(Y: CoverGraph, w: Word, start: int) -> EdgePath:
             steps.append(((u, i), -1))
             v = u
     return EdgePath(start, tuple(steps))
-
-
-def deck_translate_path(Y: CoverGraph, g: int, p: EdgePath) -> EdgePath:
-    """Left-translate a path by a deck element: (h, i) -> (g*h, i)."""
-    mul = Y.group.mul
-    return EdgePath(
-        mul[g][p.start],
-        tuple(((mul[g][h], i), d) for (h, i), d in p.steps),
-    )
-
-
-def concat_paths(Y: CoverGraph, p1: EdgePath, p2: EdgePath) -> EdgePath:
-    if path_end(Y, p1) != p2.start:
-        raise ValueError("paths are not composable")
-    return EdgePath(p1.start, p1.steps + p2.steps)
 
 
 @dataclass(frozen=True)
@@ -385,7 +357,3 @@ def to_dot(Y: CoverGraph) -> str:
         lines.append(f'  v{g} -> v{head} [label="a{i}", color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def path_to_json(p: EdgePath) -> dict:
-    return {"start": p.start, "steps": [[g, i, d] for (g, i), d in p.steps]}

@@ -27,7 +27,7 @@ from itertools import product
 
 from . import linalg
 from .cover import CoverGraph, Word, commutator_word, lift_word
-from .groups import element_order, subgroup_generated
+from .groups import _greedy_generators, element_order, subgroup_generated
 from .homology import (
     HomologyBasis,
     _sparse_coords,
@@ -82,12 +82,7 @@ def _exponent_two_characters(Y: CoverGraph) -> list[tuple[int, ...]]:
                 "isotypic decomposition needs an exponent-2 abelian deck group"
             )
     # greedy F2 basis of the group
-    basis: list[int] = []
-    span = {0}
-    while len(span) < G.order:
-        nxt = min(x for x in G.elements() if x not in span)
-        basis.append(nxt)
-        span = set(subgroup_generated(G, basis).members)
+    basis = _greedy_generators(G.mul)
     # coordinates of every element over that basis
     coords: dict[int, tuple[int, ...]] = {}
     for bits in product(range(2), repeat=len(basis)):

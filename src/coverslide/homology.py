@@ -74,25 +74,16 @@ def chain_boundary(Y: CoverGraph, z: Mapping[Edge, Rational]) -> dict[int, Ratio
     return {v: c for v, c in bd.items() if c != 0}
 
 
-@dataclass(frozen=True)
-class EdgeCocycle:
-    """The functional reading off one edge's coefficient in a chain."""
-
-    edge: Edge
-
-
-def cocycle_eval(xi: EdgeCocycle, z: Mapping[Edge, Rational]) -> Rational:
-    return z.get(xi.edge, 0)
-
-
 @dataclass(eq=False)
 class HomologyBasis:
     """Spanning tree, cotree, and fundamental cycle basis of a (sub)graph.
 
-    ``slide_memo`` maps a petal to the facts of one lifted slide on this
-    basis that :mod:`coverslide.mover` computes once and reads on every later
-    move and re-check (see ``mover._slide_facts``).  It holds plain data and
-    never the basis, so the basis is freed by reference counting."""
+    ``slide_memo`` maps a petal to ``(L, orbit rank, oracle columns)`` for
+    one lifted slide on this basis, which :mod:`coverslide.mover` computes
+    once and reads on every later move and re-check (see
+    ``mover._lifted_slide``).  ``L`` is a :class:`~coverslide.slides.LiftedSlide`,
+    plain data that does not hold the basis, so the basis is freed by
+    reference counting."""
 
     cover: CoverGraph
     root: int
@@ -304,11 +295,3 @@ def inclusion_rank_test(
         component_ranks=tuple(ranks),
         combined_rank=combined,
     )
-
-
-def basis_to_json(B: HomologyBasis) -> dict:
-    return {
-        "root": B.root,
-        "tree": [list(e) for e in sorted(B.tree)],
-        "cotree": [list(e) for e in B.cotree],
-    }

@@ -54,10 +54,6 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(vec_is_zero(row) for row in a)
 
 
-def mat_trace(a: Matrix) -> Rational:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     out = []
     for row in a:

@@ -22,11 +22,11 @@ candidate whose deck orbit has full rank wins.
 Moving many classes on one cover repeats one slide per petal, so the values
 that depend only on (cover, basis, petal, loop) and not on v or on the
 certificate are computed once per basis and kept in ``B.slide_memo``, one
-entry per petal: the loop's lifted chain and class, the orbit rank of that
-class, the formula's columns, the oracle's columns (kept as the formula's
-own list once they are found equal) and the translate classes.  Every check
-of :func:`verify_certificate` still runs on every call, against the
-certificate's own fields.
+entry per petal: the formula's :class:`LiftedSlide` (the loop's lifted chain
+and class, the columns and the translate classes), the orbit rank of the
+loop's class and the oracle's columns (kept as the formula's own list once
+they are found equal).  Every check of :func:`verify_certificate` still runs
+on every call, against the certificate's own fields.
 """
 
 from __future__ import annotations
@@ -119,59 +119,22 @@ class CertificateCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class _SlideFacts:
-    """What :func:`verify_certificate` compares a certificate against for one
-    slide on one basis: nothing here depends on v or on the certificate.
-
-    Keyed by the cover object and the slide (petal and loop word); plain data
-    only, never the basis.  ``oracle`` is ``columns`` itself once the oracle's
-    columns are found equal to the formula's."""
-
-    cover: CoverGraph
-    slide: SlideAutomorphism
-    ell_chain: Chain1
-    ell_class: list
-    orbit_rank: int
-    columns: list
-    oracle: list
-    translate_classes: dict
-
-    def lifted(self, B: HomologyBasis) -> LiftedSlide:
-        """A :class:`LiftedSlide` view on these facts; its translate classes
-        fill the memo's dict."""
-        return LiftedSlide(
-            slide=self.slide,
-            cover=self.cover,
-            basis=B,
-            ell_chain=self.ell_chain,
-            ell_class=self.ell_class,
-            columns=self.columns,
-            _translate_classes=self.translate_classes,
-        )
-
-
-def _slide_facts(Y: CoverGraph, B: HomologyBasis, j: int, ell: Word) -> _SlideFacts:
-    """The facts of the slide of petal j along ell, from ``B.slide_memo`` when
-    its petal-j entry is for this cover object and loop, else computed (the
-    formula, the oracle and one orbit rank) and stored in place of it.  Raises
+def _lifted_slide(
+    Y: CoverGraph, B: HomologyBasis, j: int, ell: Word
+) -> tuple[LiftedSlide, int, list]:
+    """The slide of petal j along ell on this basis: the formula's
+    :class:`LiftedSlide`, the orbit rank of the loop's class and the oracle's
+    columns.  Read from ``B.slide_memo`` when its petal-j entry is for this
+    cover object and loop, else computed and stored in place of it.  Raises
     what :func:`make_slide`, the formula or the oracle raise, storing nothing."""
-    facts = B.slide_memo.get(j)
-    if facts is None or facts.cover is not Y or facts.slide.ell != ell:
+    entry = B.slide_memo.get(j)
+    if entry is None or entry[0].cover is not Y or entry[0].slide.ell != ell:
         L = lifted_action_formula(make_slide(Y.n, j, ell), Y, B)
         oracle = lifted_action_oracle(L.slide, Y, B)
-        facts = _SlideFacts(
-            cover=Y,
-            slide=L.slide,
-            ell_chain=L.ell_chain,
-            ell_class=L.ell_class,
-            orbit_rank=orbit_rank_of_chain(Y, B, L.ell_chain),
-            columns=L.columns,
-            oracle=L.columns if oracle == L.columns else oracle,
-            translate_classes=L._translate_classes,
-        )
-        B.slide_memo[j] = facts
-    return facts
+        if oracle == L.columns:
+            oracle = L.columns
+        entry = B.slide_memo[j] = (L, orbit_rank_of_chain(Y, B, L.ell_chain), oracle)
+    return entry
 
 
 def find_pairing_edge(
@@ -296,8 +259,8 @@ def move_vector(
         ell = find_slide_loop(Y, B, j, max_candidates=max_candidates, seed=seed)
         if loop_cache is not None:
             loop_cache[j] = ell
-    L = _slide_facts(Y, B, j, ell).lifted(B)
-    increment = slide_increment(L, list(v), chain=chain_v)
+    L = _lifted_slide(Y, B, j, ell)[0]
+    increment = slide_increment(L, chain_v)
     cert = MoveCertificate(
         petal=j,
         pairing_edge=(g_star, j),
@@ -321,14 +284,17 @@ def verify_certificate(
     """Recheck every certificate invariant from scratch.
 
     Returns ok=False with the list of failed checks rather than raising, so
-    tampered certificates can be diagnosed.  One pass over the certificate's
-    matrix gives its column nonzeros, compared with the formula's and the
-    oracle's columns (a matrix that is not r lists of r entries fails both),
-    and its row nonzeros for the iterate check.  The iterate check steps the
-    certificate's own matrix ``iterates_checked`` times along each row's
-    nonzeros, on ``den * v`` with ``den`` the lcm of v's denominators, and
-    compares every step with ``den * (v + d * increment)``; the map is linear,
-    so this is the same exact check as on v itself, in integers.
+    tampered certificates can be diagnosed: a petal or ``iterates_checked``
+    that is not an int, or a pairing edge that is not a pair of ints, fails
+    property 1, the iterate check or the pairing edge.  One pass over the
+    certificate's matrix gives its column nonzeros, compared with the
+    formula's and the oracle's columns (a matrix that is not r lists of r
+    entries fails both), and its row nonzeros for the iterate check.  The
+    iterate check steps the certificate's own matrix ``iterates_checked``
+    times along each row's nonzeros, on ``den * v`` with ``den`` the lcm of
+    v's denominators, and compares every step with ``den * (v + d *
+    increment)``; the map is linear, so this is the same exact check as on v
+    itself, in integers.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -342,7 +308,7 @@ def verify_certificate(
     j = cert.petal
     v = list(v)
 
-    property1 = 1 <= j <= Y.n and all(i != j for i, _ in cert.ell)
+    property1 = isinstance(j, int) and 1 <= j <= Y.n and all(i != j for i, _ in cert.ell)
     if not property1:
         failures.append("property 1")
 
@@ -352,14 +318,16 @@ def verify_certificate(
 
     chain_v = class_to_chain(B, v)
     columns, rows = _matrix_nonzeros(cert.matrix, r)
-    pe = tuple(cert.pairing_edge)
-    if pe[1] != j or chain_v.get(pe, 0) == 0:
+    pe = cert.pairing_edge
+    is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(isinstance(x, int) for x in pe)
+    if not (is_edge and pe[1] == j and chain_v.get(tuple(pe), 0) != 0):
         failures.append("pairing edge")
 
-    facts = _slide_facts(Y, B, j, cert.ell) if property1 and closed else None
+    lifted = _lifted_slide(Y, B, j, cert.ell) if property1 and closed else None
     if closed:
-        if facts is not None:
-            ell_class, rank_value = facts.ell_class, facts.orbit_rank
+        if lifted is not None:
+            L, rank_value, oracle = lifted
+            ell_class = L.ell_class
         else:
             ell_chain = chain_of_path(lift_word(Y, cert.ell, 0))
             ell_class = chain_to_class(B, ell_chain)
@@ -374,20 +342,21 @@ def verify_certificate(
     if linalg.vec_is_zero(cert.increment):
         failures.append("increment nonzero")
 
-    if facts is not None:
-        differs = columns is None or columns != facts.columns
+    if lifted is not None:
+        differs = columns is None or columns != L.columns
         if differs:
             failures.append("matrix vs formula")
-        if facts.oracle is not facts.columns:
-            differs = columns is None or columns != facts.oracle
+        if oracle is not L.columns:
+            differs = columns is None or columns != oracle
         if differs:
             failures.append("matrix vs oracle")
-        if slide_increment(facts.lifted(B), v, chain=chain_v) != list(cert.increment):
+        if slide_increment(L, chain_v) != list(cert.increment):
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")
 
-    if 1 <= cert.iterates_checked <= MAX_ITERATE_DEPTH and len(rows) == r == len(v):
+    depth = cert.iterates_checked
+    if isinstance(depth, int) and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows) == r == len(v):
         failure = _iterate_failure(cert, v, rows)
         if failure:
             failures.append(failure)

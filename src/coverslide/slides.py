@@ -22,11 +22,13 @@ Both routes hold the action as column nonzeros, one ``row -> value`` dict
 per basis cycle: column k differs from ``e_k`` only when the cycle crosses
 petal j, so most columns are a single diagonal 1.  Dense rows are built only
 for output (``LiftedSlide.matrix``, the JSON and the certificate's matrix).
+A :class:`LiftedSlide` is plain data in one basis's coordinates and does not
+hold the basis, so the basis can keep it (``HomologyBasis.slide_memo``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .cover import CoverGraph, Word, free_reduce, lift_word
@@ -39,7 +41,6 @@ from .homology import (
     chain_boundary,
     chain_of_path,
     chain_to_class,
-    class_to_chain,
     translate_chain,
 )
 
@@ -99,36 +100,31 @@ def lifts_to_cover(s: SlideAutomorphism, Y: CoverGraph) -> bool:
 
 @dataclass(eq=False)
 class LiftedSlide:
-    """A slide together with its lift's action on the cover's H1.
+    """A slide's lift to one cover and its action on H1, in the coordinates
+    of one basis.
 
     ``columns[k]`` maps row -> nonzero entry of the image of basis cycle k;
-    ``matrix`` builds the dense rows from it."""
+    ``matrix`` builds the dense rows from it.  ``translate_classes`` maps each
+    vertex g at which a basis cycle crosses petal j to the nonzero coordinates
+    of [g . ell~]; a class's canonical cycle is a combination of basis cycles,
+    so it crosses petal j at no other vertex."""
 
     slide: SlideAutomorphism
     cover: CoverGraph
-    basis: HomologyBasis
     ell_chain: Chain1
     ell_class: list
     columns: list
-    _translate_classes: dict = field(default_factory=dict, repr=False)
+    translate_classes: dict
 
     @property
     def matrix(self) -> list:
         """The action as dense rows, built from ``columns`` on each access."""
-        r = self.basis.rank
+        r = len(self.columns)
         rows = [[0] * r for _ in range(r)]
         for k, col in enumerate(self.columns):
             for i, x in col.items():
                 rows[i][k] = x
         return rows
-
-    def translate_class(self, g: int) -> dict:
-        """Nonzero coordinates of [g . ell~], cached per deck element."""
-        cls = self._translate_classes.get(g)
-        if cls is None:
-            cls = _sparse_coords(self.basis, translate_chain(self.cover, g, self.ell_chain))
-            self._translate_classes[g] = cls
-        return cls
 
 
 def _lift_chain_or_raise(s: SlideAutomorphism, Y: CoverGraph) -> Chain1:
@@ -143,18 +139,23 @@ def lifted_action_formula(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis)
     """Action of the lifted slide on H1 by the cocycle formula.
 
     Column k is ``e_k + sum_g xi_{(g,j)}(z_k) * [g . ell~]``, summing only
-    over the petal-j edges in the support of the basis cycle ``z_k``.
+    over the petal-j edges in the support of the basis cycle ``z_k``; the
+    class of each translate it visits fills ``translate_classes``.
     """
     ell_chain = _lift_chain_or_raise(s, Y)
     L = LiftedSlide(
         slide=s,
         cover=Y,
-        basis=B,
         ell_chain=ell_chain,
         ell_class=chain_to_class(B, ell_chain),
         columns=[],
+        translate_classes={},
     )
+    translates = L.translate_classes
     for k, zk in enumerate(B.cycles):
+        for g, i in zk:
+            if i == s.j and g not in translates:
+                translates[g] = _sparse_coords(B, translate_chain(Y, g, ell_chain))
         col = _petal_increment(L, zk)
         chain_add(col, k, 1)
         L.columns.append(col)
@@ -197,30 +198,21 @@ def _petal_increment(L: LiftedSlide, z: Chain1) -> dict:
     """``sum_g xi_{(g,j)}(z) * [g . ell~]``, as row -> nonzero value: the
     displacement the lifted slide adds to the cycle z, summed over the petal-j
     edges in its support."""
-    j = L.slide.j
+    j, translates = L.slide.j, L.translate_classes
     delta: dict = {}
     for (g, i), c in z.items():
         if i == j and c != 0:
-            for row, x in L.translate_class(g).items():
+            for row, x in translates[g].items():
                 delta[row] = delta.get(row, 0) + c * x
     return {row: x for row, x in delta.items() if x}
 
 
-def slide_increment(L: LiftedSlide, w: list, *, chain: Chain1 | None = None) -> list:
-    """The per-iterate displacement ``F(w) - w`` of a class, from the closed
-    form (not from the matrix).  ``chain`` is w's canonical cycle
-    ``class_to_chain(L.basis, w)``, when the caller already has it."""
-    if chain is None:
-        chain = class_to_chain(L.basis, w)
+def slide_increment(L: LiftedSlide, chain: Chain1) -> list:
+    """The per-iterate displacement ``F(w) - w`` of a class w, from the closed
+    form ``F^d(w) = w + d * (F(w) - w)`` (not from the matrix).  ``chain`` is
+    w's canonical cycle, ``class_to_chain(B, w)`` in the basis of L."""
     delta = _petal_increment(L, chain)
-    return [delta.get(k, 0) for k in range(L.basis.rank)]
-
-
-def iterate_closed_form(L: LiftedSlide, d: int, w: list) -> list:
-    """``F^d(w) = w + d * (F(w) - w)``, valid for any integer d because no
-    translate of the slide loop crosses the slid petal's edges."""
-    delta = slide_increment(L, w)
-    return [a + d * b for a, b in zip(w, delta)]
+    return [delta.get(k, 0) for k in range(len(L.columns))]
 
 
 def lifted_slide_to_json(L: LiftedSlide) -> dict:

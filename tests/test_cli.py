@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -352,6 +353,13 @@ def test_selftest_quick(capsys):
     assert "selftest passed" in out
     for suite in ("groups", "covers", "homology", "slides", "klein-example", "mover"):
         assert f"ok    {suite}" in out
+    # the full battery (symmetric:4, cyclic:6 n=4); stdout sha256 recorded
+    # before the lifted slide stopped holding its basis
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "449e02379f302d397993a5bf51f4d9e10e745816974f95bd2aeb707174a00c75"
+    )
 
 
 def test_selftest_injected_fault(capsys):

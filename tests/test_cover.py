@@ -6,24 +6,23 @@ from hypothesis import given, settings, strategies as st
 from coverslide import (
     CoverSpec,
     Disconnected,
+    EdgePath,
     Word,
     build_cover,
     builtin_group,
     builtin_group_from_string,
-    concat_paths,
-    deck_translate_path,
+    chain_of_path,
     free_reduce,
     from_mul_table,
     lift_word,
     make_cover,
     path_end,
     path_is_closed,
-    path_is_valid,
-    path_to_json,
     petal_complement_components,
     standard_images,
     subgroup_generated,
     to_dot,
+    translate_chain,
 )
 from coverslide.groups import generator_count_lower_bound
 
@@ -33,6 +32,19 @@ words = st.builds(
         st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=12
     ).map(tuple),
 )
+
+
+def steps_are_connected(Y, p):
+    """Each step's edge exists and leaves the vertex the previous one reached."""
+    v = p.start
+    for e, d in p.steps:
+        g, i = e
+        if not (0 <= g < Y.vertex_count and 1 <= i <= Y.n) or d not in (1, -1):
+            return False
+        if (Y.edge_tail(e) if d == 1 else Y.edge_head(e)) != v:
+            return False
+        v = Y.edge_head(e) if d == 1 else Y.edge_tail(e)
+    return True
 
 
 # --- words ----------------------------------------------------------------
@@ -133,7 +145,9 @@ def test_lift_a_squared_closed(mod2_cover):
     p = lift_word(mod2_cover, Word.from_string("a1.a1"), 0)
     assert len(p.steps) == 2
     assert path_is_closed(mod2_cover, p)
-    assert path_is_valid(mod2_cover, p)
+    assert steps_are_connected(mod2_cover, p)
+    # it crosses both petal-1 edges once
+    assert chain_of_path(p) == {(0, 1): 1, (1, 1): 1}
 
 
 def test_lift_a_open(mod2_cover):
@@ -151,7 +165,7 @@ def test_lift_endpoint_law(klein_n3_cover, w, start):
         acc = Y.group.mul[acc][img if s == 1 else Y.group.inv[img]]
     p = lift_word(Y, w, start)
     assert path_end(Y, p) == acc
-    assert path_is_valid(Y, p)
+    assert steps_are_connected(Y, p)
 
 
 def test_lift_concatenation(klein_n3_cover):
@@ -160,29 +174,29 @@ def test_lift_concatenation(klein_n3_cover):
     v = Word.from_string("a3.a1")
     pu = lift_word(Y, u, 0)
     pv = lift_word(Y, v, path_end(Y, pu))
-    assert concat_paths(Y, pu, pv) == lift_word(Y, u * v, 0)
+    assert EdgePath(0, pu.steps + pv.steps) == lift_word(Y, u * v, 0)
 
 
 def test_deck_translate_identity(mod2_cover):
-    p = lift_word(mod2_cover, Word.from_string("a1.a2"), 1)
-    assert deck_translate_path(mod2_cover, 0, p) == p
+    z = chain_of_path(lift_word(mod2_cover, Word.from_string("a1.a2"), 1))
+    assert translate_chain(mod2_cover, 0, z) == z
 
 
 def test_deck_translate_of_lift(mod2_cover):
     # translating the lift of a^2 at the identity gives its lift at q(b)
     Y = mod2_cover
-    A = lift_word(Y, Word.from_string("a1.a1"), 0)
-    assert deck_translate_path(Y, 2, A) == lift_word(Y, Word.from_string("a1.a1"), 2)
+    A = chain_of_path(lift_word(Y, Word.from_string("a1.a1"), 0))
+    assert translate_chain(Y, 2, A) == chain_of_path(lift_word(Y, Word.from_string("a1.a1"), 2))
 
 
 def test_deck_translate_composition(mod2_cover):
     # translate by g then h equals translate by h*g, on all Klein pairs
     Y = mod2_cover
-    p = lift_word(Y, Word.from_string("a1.a2^-1.a1"), 3)
+    z = chain_of_path(lift_word(Y, Word.from_string("a1.a2^-1.a1"), 3))
     for g in range(4):
         for h in range(4):
-            twice = deck_translate_path(Y, h, deck_translate_path(Y, g, p))
-            once = deck_translate_path(Y, Y.group.mul[h][g], p)
+            twice = translate_chain(Y, h, translate_chain(Y, g, z))
+            once = translate_chain(Y, Y.group.mul[h][g], z)
             assert twice == once
 
 
@@ -191,8 +205,8 @@ def test_lift_equivariance(klein_n3_cover):
     w = Word.from_string("a1.a3.a2^-1")
     for g in range(4):
         for h in range(4):
-            lhs = deck_translate_path(Y, g, lift_word(Y, w, h))
-            rhs = lift_word(Y, w, Y.group.mul[g][h])
+            lhs = translate_chain(Y, g, chain_of_path(lift_word(Y, w, h)))
+            rhs = chain_of_path(lift_word(Y, w, Y.group.mul[g][h]))
             assert lhs == rhs
 
 
@@ -452,8 +466,3 @@ def test_dot_export(mod2_cover):
     assert dot.count("->") == 8
     assert 'label="a1"' in dot and 'label="a2"' in dot
     assert 'label="00"' in dot  # identity vertex label
-
-
-def test_path_json(mod2_cover):
-    p = lift_word(mod2_cover, Word.from_string("a1.a2^-1"), 0)
-    assert path_to_json(p) == {"start": 0, "steps": [[0, 1, 1], [3, 2, -1]]}

@@ -4,16 +4,13 @@ from types import SimpleNamespace
 import pytest
 
 from coverslide import (
-    EdgeCocycle,
     NotACycle,
     Word,
-    basis_to_json,
     builtin_group_from_string,
     chain_of_path,
     chain_to_class,
     character,
     class_to_chain,
-    cocycle_eval,
     component_basis,
     cycle_basis,
     deck_action_matrix,
@@ -30,7 +27,6 @@ from coverslide import (
 from coverslide.linalg import (
     mat_identity,
     mat_mul,
-    mat_trace,
     mat_vec,
     matrix_to_json,
     rank,
@@ -91,7 +87,7 @@ def test_fundamental_cycles_are_cycles_with_unit_coordinates():
             coords = chain_to_class(B, z)  # raises if not a cycle
             assert coords == [1 if t == k else 0 for t in range(B.rank)], name
             for e2 in B.cotree:
-                assert cocycle_eval(EdgeCocycle(e2), z) == (1 if e2 == e else 0)
+                assert z.get(e2, 0) == (1 if e2 == e else 0)
 
 
 # --- chain/class conversions -------------------------------------------------
@@ -119,17 +115,6 @@ def test_reconstruction_rational_coords(mod2_basis):
     v = [Fraction(1, 2), 0, Fraction(-2, 3), 1, 0]
     z = class_to_chain(mod2_basis, v)
     assert chain_to_class(mod2_basis, z) == v
-
-
-def test_cocycle_eval_linearity(mod2_cover, mod2_basis):
-    Y, B = mod2_cover, mod2_basis
-    xi = EdgeCocycle((0, 1))
-    assert cocycle_eval(xi, {}) == 0
-    assert cocycle_eval(xi, {(0, 1): 1}) == 1
-    # loop A = lift of a^2 traverses both petal-1 edges once
-    A = chain_of_path(lift_word(Y, Word.from_string("a1.a1"), 0))
-    assert cocycle_eval(EdgeCocycle((0, 1)), A) == 1
-    assert cocycle_eval(EdgeCocycle((1, 1)), A) == 1
 
 
 # --- deck action ---------------------------------------------------------------
@@ -180,7 +165,8 @@ def test_character_is_matrix_trace():
         if Y.group.order > 8:
             continue
         for g in Y.group.elements():
-            assert character(Y, B, g) == mat_trace(deck_action_matrix(Y, B, g)), name
+            m = deck_action_matrix(Y, B, g)
+            assert character(Y, B, g) == sum(m[i][i] for i in range(B.rank)), name
 
 
 def test_character_trivial_group(trivial_n3_cover):
@@ -279,13 +265,6 @@ def test_matrix_json(mod2_cover, mod2_basis):
 
 def test_class_json():
     assert vector_to_json([Fraction(1, 2), 3]) == ["1/2", "3"]
-
-
-def test_basis_json(mod2_basis):
-    data = basis_to_json(mod2_basis)
-    assert data["root"] == 0
-    assert len(data["tree"]) == 3
-    assert len(data["cotree"]) == 5
 
 
 # --- fundamental cycles against the former builder ------------------------------

@@ -327,6 +327,34 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         assert not check
         assert "iterate closed form" in check.failures
 
+
+@pytest.mark.parametrize(
+    "name, value, failure",
+    [
+        ("pairing_edge", (0,), "pairing edge"),
+        ("pairing_edge", 5, "pairing edge"),
+        ("pairing_edge", ([0], 3), "pairing edge"),
+        ("petal", "1", "property 1"),
+        ("petal", None, "property 1"),
+        ("iterates_checked", "10", "iterate closed form"),
+        ("iterates_checked", 2.5, "iterate closed form"),
+    ],
+)
+def test_verify_rejects_malformed_fields_without_raising(
+    klein_n3_cover, klein_n3_basis, name, value, failure
+):
+    """A scalar field of the wrong type, as a certificate rebuilt from JSON
+    may carry, fails its named check; each of these once raised IndexError or
+    TypeError."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+    assert cert.petal == 3  # the unhashable pairing edge names the right petal
+    check = verify_certificate(Y, B, v, dataclasses.replace(cert, **{name: value}))
+    assert not check
+    assert failure in check.failures
+
+
 def test_verify_rejects_wrong_orbit_rank_claim(klein_n3_cover, klein_n3_basis):
     Y, B = klein_n3_cover, klein_n3_basis
     v = unit_vector(B.rank, 1)
@@ -663,7 +691,7 @@ def test_memo_computes_each_slide_once_per_basis(klein_n3_cover, monkeypatch):
     v, cert = certs[0]
     assert verify_certificate(twin, B, v, cert).ok
     assert calls["formula"] == before["formula"] + 1
-    assert B.slide_memo[cert.petal].cover is twin
+    assert B.slide_memo[cert.petal][0].cover is twin
 
 
 def test_basis_is_freed_by_reference_counting(klein_n3_cover):
