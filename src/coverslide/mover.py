@@ -32,11 +32,12 @@ on every call, against the certificate's own fields.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import lcm
 from numbers import Real
-from typing import Iterator, Sequence
 
 from . import linalg
 from .cover import CoverGraph, Edge, Word, free_reduce, lift_word, petal_complement_components
@@ -62,7 +63,7 @@ from .slides import (
 
 DEFAULT_MAX_CANDIDATES = 10_000
 DEFAULT_ITERATE_DEPTH = 10
-# bounds the O(depth * rank^2) iterate check in the certificate and its verifier
+# bounds iterates_checked, which only a certificate with a float entry steps through
 MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
 # keeps the exponents of a late random success, and so the loop word, bounded
@@ -142,7 +143,7 @@ def find_pairing_edge(
 ) -> tuple[int, int]:
     """Smallest (petal, vertex) whose edge carries a nonzero coefficient of
     v's canonical cycle; exists for every nonzero class.  ``chain`` is that
-    cycle, ``class_to_chain(B, v)``, when the caller already has it."""
+    cycle, or a positive multiple of it, when the caller already has it."""
     if linalg.vec_is_zero(v):
         raise ZeroVector("cannot pair with the zero class")
     z = class_to_chain(B, v) if chain is None else chain
@@ -251,8 +252,9 @@ def move_vector(
         raise ZeroVector("cannot move the zero class")
     if Y.n < 3:
         raise RankTooSmall(f"rose rank {Y.n} < 3")
-    chain_v = class_to_chain(B, v)
-    j, g_star = find_pairing_edge(Y, B, v, chain=chain_v)
+    den, w = _scaled(v)
+    chain_w = class_to_chain(B, w)
+    j, g_star = find_pairing_edge(Y, B, v, chain=chain_w)
     if loop_cache is not None and j in loop_cache:
         ell = loop_cache[j]
     else:
@@ -260,7 +262,7 @@ def move_vector(
         if loop_cache is not None:
             loop_cache[j] = ell
     L = _lifted_slide(Y, B, j, ell)[0]
-    increment = slide_increment(L, chain_v)
+    increment = _unscaled(slide_increment(L, chain_w), den)
     cert = MoveCertificate(
         petal=j,
         pairing_edge=(g_star, j),
@@ -284,17 +286,14 @@ def verify_certificate(
     """Recheck every certificate invariant from scratch.
 
     Returns ok=False with the list of failed checks rather than raising, so
-    tampered certificates can be diagnosed: a petal or ``iterates_checked``
-    that is not an int, or a pairing edge that is not a pair of ints, fails
-    property 1, the iterate check or the pairing edge.  One pass over the
+    tampered certificates can be diagnosed: a field of the wrong type (a
+    petal that is not an int, an ``ell`` that is not a :class:`Word`, a vector
+    that is not iterable) fails the check that reads it.  One pass over the
     certificate's matrix gives its column nonzeros, compared with the
     formula's and the oracle's columns (a matrix that is not r lists of r
-    entries fails both), and its row nonzeros for the iterate check.  The
-    iterate check steps the certificate's own matrix ``iterates_checked``
-    times along each row's nonzeros, on ``den * v`` with ``den`` the lcm of
-    v's denominators, and compares every step with ``den * (v + d *
-    increment)``; the map is linear, so this is the same exact check as on v
-    itself, in integers.
+    entries fails both), and its row nonzeros for the iterate check, two row
+    products for an exact v (:func:`_iterate_failure`), on ``den * v`` in
+    ints as are v's cycle and the increment.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -307,39 +306,42 @@ def verify_certificate(
     r = B.rank
     j = cert.petal
     v = list(v)
+    ell, is_word = cert.ell, isinstance(cert.ell, Word)
 
-    property1 = isinstance(j, int) and 1 <= j <= Y.n and all(i != j for i, _ in cert.ell)
+    property1 = isinstance(j, int) and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
     if not property1:
         failures.append("property 1")
 
-    closed = cert.ell.max_petal() <= Y.n and Y.image_of(cert.ell) == 0
+    closed = is_word and ell.max_petal() <= Y.n and Y.image_of(ell) == 0
     if not closed:
         failures.append("property 2")
 
-    chain_v = class_to_chain(B, v)
+    den, w = scaled = _scaled(v)
+    chain_w = class_to_chain(B, w)
     columns, rows = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
     is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(isinstance(x, int) for x in pe)
-    if not (is_edge and pe[1] == j and chain_v.get(tuple(pe), 0) != 0):
+    if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
         failures.append("pairing edge")
 
-    lifted = _lifted_slide(Y, B, j, cert.ell) if property1 and closed else None
+    lifted = _lifted_slide(Y, B, j, ell) if property1 and closed else None
     if closed:
         if lifted is not None:
             L, rank_value, oracle = lifted
             ell_class = L.ell_class
         else:
-            ell_chain = chain_of_path(lift_word(Y, cert.ell, 0))
+            ell_chain = chain_of_path(lift_word(Y, ell, 0))
             ell_class = chain_to_class(B, ell_chain)
             rank_value = orbit_rank_of_chain(Y, B, ell_chain)
-        if ell_class != list(cert.ell_class):
+        if ell_class != _listed(cert.ell_class):
             failures.append("loop class mismatch")
         if rank_value != order or cert.orbit_rank_value != rank_value:
             failures.append("property 3")
     else:
         failures.append("property 3")
 
-    if linalg.vec_is_zero(cert.increment):
+    increment = _listed(cert.increment)
+    if increment is None or linalg.vec_is_zero(increment):
         failures.append("increment nonzero")
 
     if lifted is not None:
@@ -350,14 +352,14 @@ def verify_certificate(
             differs = columns is None or columns != oracle
         if differs:
             failures.append("matrix vs oracle")
-        if slide_increment(L, chain_v) != list(cert.increment):
+        if _unscaled(slide_increment(L, chain_w), den) != increment:
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
     if isinstance(depth, int) and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows) == r == len(v):
-        failure = _iterate_failure(cert, v, rows)
+        failure = _iterate_failure(cert, v, rows, scaled)
         if failure:
             failures.append(failure)
     else:
@@ -366,10 +368,31 @@ def verify_certificate(
     return CertificateCheck(ok=not failures, failures=tuple(failures))
 
 
+def _listed(x) -> list | None:
+    """``list(x)``, or None when a certificate field x is not iterable."""
+    return list(x) if isinstance(x, Iterable) else None
+
+
+def _scaled(v: Sequence) -> tuple[int | None, Sequence]:
+    """``(den, den * v)`` in ints, den the lcm of v's denominators; ``(None, v)``
+    unless each entry of v is an int or a Fraction.  v meets linear maps only."""
+    if not set(map(type, v)) <= linalg.EXACT_TYPES:
+        return None, v
+    den = lcm(*(a.denominator for a in v))
+    return den, [a.numerator * (den // a.denominator) for a in v]
+
+
+def _unscaled(w: list, den: int | None) -> list:
+    """``w / den``, divided at w's nonzeros only, each an int when integral."""
+    if den in (None, 1):
+        return w
+    return [linalg.int_if_integral(Fraction(x, den)) if x else 0 for x in w]
+
+
 def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list]:
     """One pass over a certificate matrix: its columns as ``row -> value``
     maps (None unless it is a list of r lists of r entries), and each row's
-    ``(col, value)`` nonzeros among its first r entries.
+    ``(col, value)`` nonzeros among its first r entries (none for no list).
 
     A row keeps the truthy entries, which the iterate check multiplies.  A
     column keeps every ``x != 0``, so that comparing column maps is the
@@ -379,8 +402,8 @@ def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list]:
     square = isinstance(matrix, list) and len(matrix) == r
     columns: list[dict] = [{} for _ in range(r)]
     rows = []
-    for i, row in enumerate(matrix):
-        truthy = list(compress(zip(range(r), row), row))
+    for i, row in enumerate(_listed(matrix) or ()):
+        truthy = [(c, row[c]) for c in compress(range(r), row)]
         rows.append(truthy)
         square = square and isinstance(row, list) and len(row) == r
         if square:
@@ -392,39 +415,46 @@ def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list]:
     return (columns if square else None), rows
 
 
-def _iterate_failure(cert: MoveCertificate, v: list, rows: list) -> str | None:
-    """The first failed iterate check (``"iterate closed form"`` or
-    ``"iterates distinct"``), or None.
+def _row_products(rows: list, w: list) -> list:
+    """``M w`` along the row nonzeros of :func:`_matrix_nonzeros`, as ``mat_vec``."""
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in row:
+            if y := w[c]:
+                acc += x * y
+        out.append(acc)
+    return out
 
-    Steps the matrix along ``rows``, each row's nonzeros as
-    :func:`_matrix_nonzeros` gives them: read as ``mat_vec`` does, columns
-    past ``len(v)`` are ignored and a short row ends early.  v and the
-    increment are scaled by ``den`` only when they and the matrix nonzeros
-    are all int or Fraction; with a float anywhere the arithmetic is that on
-    v itself.  Any other entry that is not a real number (a str, None,
-    complex) fails the closed form unmultiplied: ``M^d v`` is not defined."""
-    base, step = v, list(cert.increment)
-    values = list(chain(v, step, (x for row in rows for _, x in row)))
-    if set(map(type, values)) <= linalg.EXACT_TYPES:
-        den = lcm(*(a.denominator for a in v))
+
+def _iterate_failure(cert: MoveCertificate, v: list, rows: list, scaled: tuple) -> str | None:
+    """The first failed check (``"iterate closed form"`` or ``"iterates
+    distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
+    ``rows`` and D ``iterates_checked``, or None.
+
+    If v, the increment and M are exact, ``scaled`` is ``(den, b = den * v)``
+    and with ``s = den * increment`` the check is two row products: by
+    induction ``M^d b = b + d s`` for d in 1..D iff ``M b = b + s`` and (if
+    D >= 2) ``M s = s``, and those iterates are distinct iff s != 0.  The
+    increment is read through ``zip``: trimmed to r, failing if short.  With a
+    float anywhere M is stepped D times on v; a non-real entry fails unread."""
+    den, b = scaled
+    step = _listed(cert.increment) or []
+    values = list(chain(step, (x for row in rows for _, x in row)))
+    if den is not None and set(map(type, values)) <= linalg.EXACT_TYPES:
         # ints, not Fractions with denominator 1: den * Fraction is a Fraction
-        base = [linalg.int_if_integral(den * a) for a in v]
-        step = [linalg.int_if_integral(den * b) for b in step]
-    elif not all(isinstance(x, Real) for x in values):
+        s = [linalg.int_if_integral(den * x) for x in step[: len(b)]]
+        if _row_products(rows, b) != [x + y for x, y in zip(b, s)]:
+            return "iterate closed form"
+        if cert.iterates_checked >= 2 and _row_products(rows, s) != s:
+            return "iterate closed form"
+        return None if any(s) else "iterates distinct"
+    if not all(isinstance(x, Real) for x in chain(v, values)):
         return "iterate closed form"
-    w = base
-    seen = {tuple(w)}
+    w, seen = v, {tuple(v)}
     for d in range(1, cert.iterates_checked + 1):
-        nxt = []
-        for row in rows:
-            acc = 0
-            for c, x in row:
-                y = w[c]
-                if y:
-                    acc += x * y
-            nxt.append(acc)
-        w = nxt
-        if w != [a + d * b for a, b in zip(base, step)]:
+        w = _row_products(rows, w)
+        if w != [x + d * y for x, y in zip(v, step)]:
             return "iterate closed form"
         key = tuple(w)
         if key in seen:

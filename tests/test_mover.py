@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coverslide import (
     CertificateFailed,
@@ -23,15 +24,20 @@ from coverslide import (
     find_pairing_edge,
     find_slide_loop,
     fundamental_loop_word,
+    lifted_action_formula,
     lift_word,
     make_cover,
+    make_slide,
     move_vector,
     orbit_rank_of_chain,
     path_is_closed,
     petal_complement_components,
+    slide_increment,
+    standard_images,
     verify_certificate,
 )
 from coverslide import mover
+from coverslide.cli import _dumps
 from coverslide.linalg import mat_vec, vec_is_zero
 
 from helpers import unit_vector
@@ -338,14 +344,19 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         ("petal", None, "property 1"),
         ("iterates_checked", "10", "iterate closed form"),
         ("iterates_checked", 2.5, "iterate closed form"),
+        ("ell_class", None, "loop class mismatch"),
+        ("increment", None, "increment nonzero"),
+        ("increment", 5, "increment nonzero"),
+        ("matrix", None, "matrix vs formula"),
+        ("ell", "a1", "property 1"),
     ],
 )
 def test_verify_rejects_malformed_fields_without_raising(
     klein_n3_cover, klein_n3_basis, name, value, failure
 ):
-    """A scalar field of the wrong type, as a certificate rebuilt from JSON
-    may carry, fails its named check; each of these once raised IndexError or
-    TypeError."""
+    """A field of the wrong type, as a certificate rebuilt from JSON may
+    carry, fails its named check; each of these once raised IndexError,
+    TypeError or ValueError."""
     Y, B = klein_n3_cover, klein_n3_basis
     v = unit_vector(B.rank, 0)
     cert = move_vector(Y, B, v)
@@ -407,9 +418,9 @@ def dense_mat_vec(a, v):
     return out
 
 
-def dense_iterate_failure(cert, v, _rows=None):
+def dense_iterate_failure(cert, v, *_unused):
     """The verifier's former iterate check: ``depth`` dense steps on v; it
-    ignores the row nonzeros the verifier passes."""
+    ignores the row nonzeros and the scaled v the verifier passes."""
     w = v
     seen = {tuple(w)}
     for d in range(1, cert.iterates_checked + 1):
@@ -438,8 +449,19 @@ def _set(row, j, x):
     return row
 
 
-def _tampered(cert):
-    """(name, certificate) pairs: the certificate and tampered copies of it."""
+def _second_step_only(cert, v):
+    """The certificate with M + P for M, where P = e_0 phi^T and phi(v) = 0 !=
+    phi(increment): M v = v + increment still holds but M increment !=
+    increment, so the closed form fails at d = 2 and not before."""
+    s = cert.increment
+    k, m = next((k, m) for k in range(len(v)) for m in range(len(v)) if v[k] * s[m] != v[m] * s[k])
+    return _with_row(cert, 0, lambda row: _set(_set(row, m, row[m] + v[k]), k, row[k] - v[m]))
+
+
+def _tampered(cert, v=None):
+    """(name, certificate) pairs: the certificate and tampered copies of it;
+    with v, also copies whose first iterate is right for v and whose second is
+    wrong."""
     r = len(cert.matrix)
     # a row the slide moves: it has an off-diagonal nonzero
     moved = next(i for i, row in enumerate(cert.matrix) if sum(map(bool, row)) > 1)
@@ -469,6 +491,18 @@ def _tampered(cert):
             out.append((f"increment[{k}] + {delta}", wrong))
     for depth in (1, mover.MAX_ITERATE_DEPTH):
         out.append((f"depth {depth}", dataclasses.replace(cert, iterates_checked=depth)))
+    past_r = [0] * r + [1]
+    out += [
+        ("increment nonzero only past r", _with_increment(cert, lambda inc: past_r)),
+        ("identity, increment nonzero only past r", dataclasses.replace(
+            cert, matrix=[[int(i == j) for j in range(r)] for i in range(r)], increment=past_r)),
+    ]
+    if v is not None:
+        second = _second_step_only(cert, v)
+        out.append(("fails only at d = 2", second))
+        for depth in (1, 2, 3, mover.MAX_ITERATE_DEPTH):
+            wrong = dataclasses.replace(second, iterates_checked=depth)
+            out.append((f"fails only at d = 2, depth {depth}", wrong))
     return out
 
 
@@ -489,7 +523,7 @@ def test_iterate_check_matches_dense_loop(klein_n3_cover, klein_n3_basis, monkey
     Y, B = klein_n3_cover, klein_n3_basis
     cert = move_vector(Y, B, v)
     cases = []
-    for name, c in _tampered(cert):
+    for name, c in _tampered(cert, v):
         cases.append((name, c, v))
         cases.append((f"{name}, float v", c, [float(x) for x in v]))
     new = [verify_certificate(Y, B, u, c) for _, c, u in cases]
@@ -499,6 +533,84 @@ def test_iterate_check_matches_dense_loop(klein_n3_cover, klein_n3_basis, monkey
     assert new[0].ok
     failures = {f for check in new for f in check.failures}
     assert {"iterate closed form", "iterates distinct"} <= failures
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[0, -2, 0, 0, 3, 0, 0, 0, 1], [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3]],
+    ids=["integer", "p/q"],
+)
+def test_two_products_find_a_failure_at_the_second_step(klein_n3_cover, klein_n3_basis, v):
+    """M v = v + s with M s != s: the first iterate is right and the second is
+    not, so the check passes at depth 1 and fails the closed form beyond, as
+    the dense loop does."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    second = _second_step_only(move_vector(Y, B, v), v)
+    rows = mover._matrix_nonzeros(second.matrix, B.rank)[1]
+    for depth in (1, 2, 3, mover.MAX_ITERATE_DEPTH):
+        c = dataclasses.replace(second, iterates_checked=depth)
+        got = mover._iterate_failure(c, v, rows, mover._scaled(v))
+        assert got == (None if depth == 1 else "iterate closed form"), depth
+        assert got == dense_iterate_failure(c, v), depth
+
+
+def test_iterate_check_work_does_not_depend_on_depth(klein_n3_cover, klein_n3_basis, monkeypatch):
+    """An exact certificate takes one row product at depth 1 and two at any
+    depth >= 2; a float v is stepped once per iterate."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = [0, -2, 0, 0, 3, 0, 0, 0, 1]
+    cert = move_vector(Y, B, v)
+    calls = []
+    row_products = mover._row_products
+
+    def counted(rows, w):
+        calls.append(len(rows))
+        return row_products(rows, w)
+
+    monkeypatch.setattr(mover, "_row_products", counted)
+    counts = {}
+    for u, depth in ((v, 1), (v, 2), (v, mover.MAX_ITERATE_DEPTH), ([float(x) for x in v], 50)):
+        calls.clear()
+        assert verify_certificate(Y, B, u, dataclasses.replace(cert, iterates_checked=depth)).ok
+        counts[depth] = len(calls)
+    assert counts == {1: 1, 2: 2, mover.MAX_ITERATE_DEPTH: 2, 50: 50}
+
+
+def _differential_covers():
+    klein = builtin_group("elementary_abelian", 2, 2)
+    s3 = builtin_group("symmetric", 3)
+    covers = [
+        make_cover(klein, (1, 2, 0)),
+        make_cover(builtin_group("cyclic", 3), (1, 1, 0)),
+        make_cover(s3, standard_images(s3, 3)),
+    ]
+    return [(Y, cycle_basis(Y), {}) for Y in covers]
+
+
+DIFFERENTIAL_COVERS = _differential_covers()
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_integer_route_matches_fraction_route(cover, data):
+    """move_vector computes v's cycle and the increment on den * v in ints;
+    the increment equals the Fraction route's entry by entry, with the same
+    text, and the certificate JSON has the same bytes."""
+    Y, B, loop_cache = cover
+    v = data.draw(st.lists(rationals, min_size=B.rank, max_size=B.rank))
+    assume(any(v))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    L = lifted_action_formula(make_slide(Y.n, cert.petal, cert.ell), Y, B)
+    reference = slide_increment(L, class_to_chain(B, v))
+    assert len(cert.increment) == len(reference)
+    for got, want in zip(cert.increment, reference):
+        assert got == want and str(got) == str(want)
+    fraction_route = dataclasses.replace(cert, increment=reference)
+    assert _dumps(certificate_to_json(cert, Y)) == _dumps(certificate_to_json(fraction_route, Y))
+    assert verify_certificate(Y, B, v, fraction_route).ok
 
 
 # --- matrix checks against the dense comparisons -----------------------------------
@@ -563,7 +675,7 @@ def _outcome(Y, B, v, cert):
 )
 def test_matrix_checks_match_dense_comparison(klein_n3_cover, klein_n3_basis, monkeypatch, v):
     """The column-map comparisons give the CertificateCheck the dense ``!=``
-    gave, on the 31 tampered certificates and the new shapes and entries,
+    gave, on the 33 tampered certificates and the new shapes and entries,
     with v as built and as floats."""
     Y, B = klein_n3_cover, klein_n3_basis
     cert = move_vector(Y, B, v)
