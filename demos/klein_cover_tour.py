@@ -27,7 +27,7 @@ from coverslide import (
     to_dot,
     verify_chevalley_weil,
 )
-from coverslide.linalg import format_rational, mat_vec, vec_add, vec_scale, vec_sub
+from coverslide.linalg import format_rational, mat_vec, vec_scale, vec_sub
 
 G = builtin_group("elementary_abelian", 2, 2)
 Y = make_cover(G, (1, 2))  # q(a1) = (1,0), q(a2) = (0,1)
@@ -79,8 +79,8 @@ print(f"elev(ab) - elev(ba) = {[format_rational(c) for c in x_ab]}")
 print(f"  negated by both generators: "
       f"{mat_vec(rho[qa], x_ab) == vec_scale(-1, x_ab) and mat_vec(rho[qb], x_ab) == vec_scale(-1, x_ab)}")
 
-t1 = vec_add(A, mat_vec(rho[qb], A))
-t2 = vec_add(Bcls, mat_vec(rho[qa], Bcls))
+t1 = [a + b for a, b in zip(A, mat_vec(rho[qb], A))]
+t2 = [a + b for a, b in zip(Bcls, mat_vec(rho[qa], Bcls))]
 print(f"invariant transfer vectors: A + q(b)A and B + q(a)B "
       f"(invariant: {all(mat_vec(rho[g], t1) == t1 and mat_vec(rho[g], t2) == t2 for g in G.elements())})")
 print()

@@ -12,8 +12,9 @@ first coordinate (``--vector -1,0,...``).  ``--depth`` must be in
 
 Exit codes: 0 success, 1 failed verification or selftest (for ``move``: the
 certificate failed self-verification, and the failed checks are named on
-stderr), 2 invalid configuration, 3 disconnected cover, 4 zero vector, 5 rose
-rank too small, 6 loop search exhausted.
+stderr), 2 invalid configuration (also an output file that cannot be
+written), 3 disconnected cover, 4 zero vector, 5 rose rank too small, 6 loop
+search exhausted, 7 out of memory.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ EXIT_DISCONNECTED = 3
 EXIT_ZERO_VECTOR = 4
 EXIT_RANK_TOO_SMALL = 5
 EXIT_SEARCH_EXHAUSTED = 6
+EXIT_OUT_OF_MEMORY = 7
 
 
 class ConfigError(ValueError):
@@ -210,13 +212,20 @@ def _dumps(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
     """Print the payload's JSON with ``--json``, else the human lines; with
     ``move --out``, also write the same JSON text to that file."""
     if args.json or args.out:
         text = _dumps(payload)
         if args.out:
-            Path(args.out).write_text(text)
+            _write(args.out, text)
     if args.json:
         print(text)
     else:
@@ -227,7 +236,7 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> No
 def cmd_build(args: argparse.Namespace) -> int:
     Y, B = _cover_from_args(args)
     if args.dot:
-        Path(args.dot).write_text(to_dot(Y))
+        _write(args.dot, to_dot(Y))
     _emit(
         args,
         {"vertices": Y.vertex_count, "edges": Y.edge_count, "rank": B.rank},
@@ -565,29 +574,28 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the first match gives the exit code; the first three kinds are ValueErrors too
+_EXIT_CODES = (
+    (Disconnected, EXIT_DISCONNECTED),
+    (ZeroVector, EXIT_ZERO_VECTOR),
+    (RankTooSmall, EXIT_RANK_TOO_SMALL),
+    (SearchExhausted, EXIT_SEARCH_EXHAUSTED),
+    (CertificateFailed, EXIT_FAILED),
+    (ValueError, EXIT_CONFIG),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except Disconnected as exc:
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
+    except (ValueError, SearchExhausted, CertificateFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except ZeroVector as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_VECTOR
-    except RankTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK_TOO_SMALL
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
-    except CertificateFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except (ConfigError, NotAGroup, UnsupportedFamily, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def console_main() -> None:

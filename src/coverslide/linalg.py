@@ -22,10 +22,6 @@ Vector = list
 Matrix = list
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
     return [a - b for a, b in zip(u, v)]
 

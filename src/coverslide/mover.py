@@ -35,9 +35,8 @@ import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from math import lcm
-from numbers import Real
 
 from . import linalg
 from .cover import CoverGraph, Edge, Word, free_reduce, lift_word, petal_complement_components
@@ -63,7 +62,7 @@ from .slides import (
 
 DEFAULT_MAX_CANDIDATES = 10_000
 DEFAULT_ITERATE_DEPTH = 10
-# bounds iterates_checked, which only a certificate with a float entry steps through
+# a range check only: the iterate check costs two row products at any depth
 MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
 # keeps the exponents of a late random success, and so the loop word, bounded
@@ -245,14 +244,16 @@ def move_vector(
     only short-circuits the (v-independent) search, so results are identical
     with or without it.  The formula's columns come from the basis's slide
     memo (see the module docstring); the certificate gets its own copies.
+    A :class:`ValueError` names a bad depth, or an entry of v that is not an
+    int or a Fraction.
     """
     if not 1 <= depth <= MAX_ITERATE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_ITERATE_DEPTH}, got {depth}")
+    den, w = _scaled(v)
     if linalg.vec_is_zero(v):
         raise ZeroVector("cannot move the zero class")
     if Y.n < 3:
         raise RankTooSmall(f"rose rank {Y.n} < 3")
-    den, w = _scaled(v)
     chain_w = class_to_chain(B, w)
     j, g_star = find_pairing_edge(Y, B, v, chain=chain_w)
     if loop_cache is not None and j in loop_cache:
@@ -287,13 +288,14 @@ def verify_certificate(
 
     Returns ok=False with the list of failed checks rather than raising, so
     tampered certificates can be diagnosed: a field of the wrong type (a
-    petal that is not an int, an ``ell`` that is not a :class:`Word`, a vector
-    that is not iterable) fails the check that reads it.  One pass over the
-    certificate's matrix gives its column nonzeros, compared with the
-    formula's and the oracle's columns (a matrix that is not r lists of r
-    entries fails both), and its row nonzeros for the iterate check, two row
-    products for an exact v (:func:`_iterate_failure`), on ``den * v`` in
-    ints as are v's cycle and the increment.
+    petal that is not an int, an ``ell`` that is not a :class:`Word`, a
+    nonzero that is not an int or a Fraction) fails the check that reads it.
+    One pass over the certificate's matrix gives its column nonzeros,
+    compared with the formula's and the oracle's columns (a matrix that is
+    not r lists of r entries fails both), and its row nonzeros for the two
+    row products of :func:`_iterate_failure` on ``den * v`` in ints, as are
+    v's cycle and the increment.  An entry of v that is not an int or a
+    Fraction raises :class:`ValueError`.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -306,6 +308,7 @@ def verify_certificate(
     r = B.rank
     j = cert.petal
     v = list(v)
+    den, w = scaled = _scaled(v)
     ell, is_word = cert.ell, isinstance(cert.ell, Word)
 
     property1 = isinstance(j, int) and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
@@ -316,7 +319,6 @@ def verify_certificate(
     if not closed:
         failures.append("property 2")
 
-    den, w = scaled = _scaled(v)
     chain_w = class_to_chain(B, w)
     columns, rows = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
@@ -333,14 +335,14 @@ def verify_certificate(
             ell_chain = chain_of_path(lift_word(Y, ell, 0))
             ell_class = chain_to_class(B, ell_chain)
             rank_value = orbit_rank_of_chain(Y, B, ell_chain)
-        if ell_class != _listed(cert.ell_class):
+        if ell_class != _exact(cert.ell_class):
             failures.append("loop class mismatch")
         if rank_value != order or cert.orbit_rank_value != rank_value:
             failures.append("property 3")
     else:
         failures.append("property 3")
 
-    increment = _listed(cert.increment)
+    increment = _exact(cert.increment)
     if increment is None or linalg.vec_is_zero(increment):
         failures.append("increment nonzero")
 
@@ -358,7 +360,7 @@ def verify_certificate(
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
-    if isinstance(depth, int) and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows) == r == len(v):
+    if isinstance(depth, int) and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows or ()) == r:
         failure = _iterate_failure(cert, v, rows, scaled)
         if failure:
             failures.append(failure)
@@ -368,50 +370,55 @@ def verify_certificate(
     return CertificateCheck(ok=not failures, failures=tuple(failures))
 
 
-def _listed(x) -> list | None:
-    """``list(x)``, or None when a certificate field x is not iterable."""
-    return list(x) if isinstance(x, Iterable) else None
+def _exact(x) -> list | None:
+    """``list(x)``, or None unless the certificate field x is an iterable of
+    ints and Fractions."""
+    x = list(x) if isinstance(x, Iterable) else [None]
+    return x if set(map(type, x)) <= linalg.EXACT_TYPES else None
 
 
-def _scaled(v: Sequence) -> tuple[int | None, Sequence]:
-    """``(den, den * v)`` in ints, den the lcm of v's denominators; ``(None, v)``
-    unless each entry of v is an int or a Fraction.  v meets linear maps only."""
+def _scaled(v: list) -> tuple[int, list]:
+    """``(den, den * v)`` in ints, den the lcm of v's denominators.  Raises
+    ValueError naming the first entry of v that is not an int or a Fraction."""
     if not set(map(type, v)) <= linalg.EXACT_TYPES:
-        return None, v
+        k, a = next((k, a) for k, a in enumerate(v) if type(a) not in linalg.EXACT_TYPES)
+        raise ValueError(f"v[{k}] is a {type(a).__name__}, not an int or a Fraction")
     den = lcm(*(a.denominator for a in v))
     return den, [a.numerator * (den // a.denominator) for a in v]
 
 
-def _unscaled(w: list, den: int | None) -> list:
+def _unscaled(w: list, den: int) -> list:
     """``w / den``, divided at w's nonzeros only, each an int when integral."""
-    if den in (None, 1):
-        return w
     return [linalg.int_if_integral(Fraction(x, den)) if x else 0 for x in w]
 
 
-def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list]:
+def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list | None]:
     """One pass over a certificate matrix: its columns as ``row -> value``
     maps (None unless it is a list of r lists of r entries), and each row's
-    ``(col, value)`` nonzeros among its first r entries (none for no list).
-
-    A row keeps the truthy entries, which the iterate check multiplies.  A
-    column keeps every ``x != 0``, so that comparing column maps is the
-    entrywise ``==`` of dense rows: ``None`` or ``"0"`` never equals an int.
-    The two sets differ only when the truthy entries and those equal to 0 do
-    not add up to the row, and only such a row is scanned a second time."""
+    ``(col, value)`` nonzeros among its first r entries.  Both are None
+    unless the matrix and its rows are lists or tuples whose nonzeros are
+    ints or Fractions: an entry equal to 0 is a zero whatever its type, and
+    a row whose truthy entries and entries equal to 0 do not add up holds
+    something else, such as None."""
+    if not isinstance(matrix, (list, tuple)):
+        return None, None
     square = isinstance(matrix, list) and len(matrix) == r
     columns: list[dict] = [{} for _ in range(r)]
     rows = []
-    for i, row in enumerate(_listed(matrix) or ()):
-        truthy = [(c, row[c]) for c in compress(range(r), row)]
-        rows.append(truthy)
-        square = square and isinstance(row, list) and len(row) == r
+    for i, row in enumerate(matrix):
+        if not (isinstance(row, list) and len(row) == r):
+            if not isinstance(row, (list, tuple)):
+                return None, None
+            square, row = False, row[:r]
+        nonzeros = [(c, row[c]) for c in compress(range(r), row)]
+        if len(nonzeros) + row.count(0) != len(row):
+            return None, None
+        rows.append(nonzeros)
         if square:
-            nonzeros = truthy
-            if len(truthy) + row.count(0) != r:
-                nonzeros = [(c, x) for c, x in enumerate(row) if x != 0]
             for c, x in nonzeros:
                 columns[c][i] = x
+    if not {type(x) for row in rows for _, x in row} <= linalg.EXACT_TYPES:
+        return None, None
     return (columns if square else None), rows
 
 
@@ -432,35 +439,23 @@ def _iterate_failure(cert: MoveCertificate, v: list, rows: list, scaled: tuple) 
     distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
     ``rows`` and D ``iterates_checked``, or None.
 
-    If v, the increment and M are exact, ``scaled`` is ``(den, b = den * v)``
-    and with ``s = den * increment`` the check is two row products: by
-    induction ``M^d b = b + d s`` for d in 1..D iff ``M b = b + s`` and (if
-    D >= 2) ``M s = s``, and those iterates are distinct iff s != 0.  The
-    increment is read through ``zip``: trimmed to r, failing if short.  With a
-    float anywhere M is stepped D times on v; a non-real entry fails unread."""
+    ``scaled`` is ``(den, b = den * v)``, and with ``s = den * increment``
+    the check is two row products: by induction ``M^d b = b + d s`` for d in
+    1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and those iterates
+    are distinct iff s != 0.  The increment is read through ``zip``: trimmed
+    to r, failing if short or if an entry is not an int or a Fraction.  v is
+    unread, there for a dense reference check to stand in for this one."""
     den, b = scaled
-    step = _listed(cert.increment) or []
-    values = list(chain(step, (x for row in rows for _, x in row)))
-    if den is not None and set(map(type, values)) <= linalg.EXACT_TYPES:
-        # ints, not Fractions with denominator 1: den * Fraction is a Fraction
-        s = [linalg.int_if_integral(den * x) for x in step[: len(b)]]
-        if _row_products(rows, b) != [x + y for x, y in zip(b, s)]:
-            return "iterate closed form"
-        if cert.iterates_checked >= 2 and _row_products(rows, s) != s:
-            return "iterate closed form"
-        return None if any(s) else "iterates distinct"
-    if not all(isinstance(x, Real) for x in chain(v, values)):
+    step = _exact(cert.increment)
+    if step is None:
         return "iterate closed form"
-    w, seen = v, {tuple(v)}
-    for d in range(1, cert.iterates_checked + 1):
-        w = _row_products(rows, w)
-        if w != [x + d * y for x, y in zip(v, step)]:
-            return "iterate closed form"
-        key = tuple(w)
-        if key in seen:
-            return "iterates distinct"
-        seen.add(key)
-    return None
+    # ints, not Fractions with denominator 1: den * Fraction is a Fraction
+    s = [linalg.int_if_integral(den * x) for x in step[: len(b)]]
+    if _row_products(rows, b) != [x + y for x, y in zip(b, s)]:
+        return "iterate closed form"
+    if cert.iterates_checked >= 2 and _row_products(rows, s) != s:
+        return "iterate closed form"
+    return None if any(s) else "iterates distinct"
 
 
 def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> dict:

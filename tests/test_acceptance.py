@@ -42,7 +42,6 @@ from coverslide.linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -124,8 +123,8 @@ def test_criterion_2_klein_cover_goldens(mod2_cover, mod2_basis):
         assert mat_vec(rho[qb], x_ab) == vec_scale(-1, x_ab)
 
         # transfer part: A + q(b)A and B + q(a)B are invariant and independent
-        t1 = vec_add(A, mat_vec(rho[qb], A))
-        t2 = vec_add(Bcls, mat_vec(rho[qa], Bcls))
+        t1 = [a + b for a, b in zip(A, mat_vec(rho[qb], A))]
+        t2 = [a + b for a, b in zip(Bcls, mat_vec(rho[qa], Bcls))]
         for g in range(4):
             assert mat_vec(rho[g], t1) == t1
             assert mat_vec(rho[g], t2) == t2
@@ -181,7 +180,7 @@ def test_criterion_4_iteration_closed_form(certificates):
             seen = {tuple(w)}
             for d in range(1, 11):
                 w = mat_vec(cert.matrix, w)
-                assert w == vec_add(v, vec_scale(d, cert.increment)), name
+                assert w == [a + d * b for a, b in zip(v, cert.increment)], name
                 key = tuple(w)
                 assert key not in seen, name
                 seen.add(key)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import coverslide
-from coverslide import CertificateCheck, builtin_group, group_to_json, mover
+from coverslide import CertificateCheck, builtin_group, cli, group_to_json, mover
 from coverslide.cli import main
 
 
@@ -54,6 +54,35 @@ def test_build_dot_file(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert text.count("->") == 8
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["build", "--group", "cyclic:3", "--n", "3"], "--dot"),
+        (["move", "--group", "cyclic:3", "--n", "3", "--vector-word", "a3"], "--out"),
+        (["move", "--group", "cyclic:3", "--n", "3", "--vector-word", "a3", "--json"], "--out"),
+    ],
+    ids=["build --dot", "move --out", "move --json --out"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv, option):
+    """An output file that cannot be written is a configuration error, with
+    one error line and nothing on stdout, not an OSError traceback."""
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
+def test_memory_error_exit_7(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_move", out_of_memory)
+    code, out, err = run(capsys, "move", "--group", "cyclic:3", "--n", "3", "--vector-word", "a3")
+    assert (code, out, err) == (7, "", "error: out of memory\n")
 
 
 def test_build_defaults_to_standard_images(capsys):

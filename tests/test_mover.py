@@ -348,6 +348,8 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         ("increment", None, "increment nonzero"),
         ("increment", 5, "increment nonzero"),
         ("matrix", None, "matrix vs formula"),
+        ("matrix", [None] * 9, "matrix vs formula"),
+        ("matrix", [5] * 9, "matrix vs formula"),
         ("ell", "a1", "property 1"),
     ],
 )
@@ -476,10 +478,8 @@ def _tampered(cert, v=None):
             wrong = _with_row(cert, i, lambda row: _set(row, j, row[j] + 1))
             out.append((f"entry ({i}, {j}) + 1", wrong))
     out += [
-        ("float entries", _with_row(cert, moved, lambda row: [float(x) for x in row])),
         ("fractional entry", _with_row(cert, moved, lambda row: _set(row, moved, Fraction(1, 2)))),
         ("increment halved", _with_increment(cert, lambda inc: [Fraction(x, 2) for x in inc])),
-        ("increment as floats", _with_increment(cert, lambda inc: [float(x) for x in inc])),
         ("increment short", _with_increment(cert, lambda inc: inc[:-1])),
         ("increment long", _with_increment(cert, lambda inc: inc + [1])),
         ("identity, zero increment", dataclasses.replace(
@@ -517,15 +517,11 @@ def _tampered(cert, v=None):
     ids=["unit", "integer", "p/q", "mixed"],
 )
 def test_iterate_check_matches_dense_loop(klein_n3_cover, klein_n3_basis, monkeypatch, v):
-    """On the certificate and tampered copies of it, with v as built and as
-    floats, the verifier returns exactly what it returned with the dense loop,
-    and never raises."""
+    """On the certificate and tampered copies of it, the verifier returns
+    exactly what it returned with the dense loop, and never raises."""
     Y, B = klein_n3_cover, klein_n3_basis
     cert = move_vector(Y, B, v)
-    cases = []
-    for name, c in _tampered(cert, v):
-        cases.append((name, c, v))
-        cases.append((f"{name}, float v", c, [float(x) for x in v]))
+    cases = [(name, c, v) for name, c in _tampered(cert, v)]
     new = [verify_certificate(Y, B, u, c) for _, c, u in cases]
     monkeypatch.setattr(mover, "_iterate_failure", dense_iterate_failure)
     for (name, c, u), got in zip(cases, new):
@@ -555,8 +551,7 @@ def test_two_products_find_a_failure_at_the_second_step(klein_n3_cover, klein_n3
 
 
 def test_iterate_check_work_does_not_depend_on_depth(klein_n3_cover, klein_n3_basis, monkeypatch):
-    """An exact certificate takes one row product at depth 1 and two at any
-    depth >= 2; a float v is stepped once per iterate."""
+    """A certificate takes one row product at depth 1 and two at any depth >= 2."""
     Y, B = klein_n3_cover, klein_n3_basis
     v = [0, -2, 0, 0, 3, 0, 0, 0, 1]
     cert = move_vector(Y, B, v)
@@ -569,11 +564,11 @@ def test_iterate_check_work_does_not_depend_on_depth(klein_n3_cover, klein_n3_ba
 
     monkeypatch.setattr(mover, "_row_products", counted)
     counts = {}
-    for u, depth in ((v, 1), (v, 2), (v, mover.MAX_ITERATE_DEPTH), ([float(x) for x in v], 50)):
+    for depth in (1, 2, mover.MAX_ITERATE_DEPTH):
         calls.clear()
-        assert verify_certificate(Y, B, u, dataclasses.replace(cert, iterates_checked=depth)).ok
+        assert verify_certificate(Y, B, v, dataclasses.replace(cert, iterates_checked=depth)).ok
         counts[depth] = len(calls)
-    assert counts == {1: 1, 2: 2, mover.MAX_ITERATE_DEPTH: 2, 50: 50}
+    assert counts == {1: 1, 2: 2, mover.MAX_ITERATE_DEPTH: 2}
 
 
 def _differential_covers():
@@ -651,17 +646,10 @@ def _more_tampered(cert):
         ("rows as tuples", dataclasses.replace(cert, matrix=[tuple(row) for row in cert.matrix])),
         ("matrix as a tuple", dataclasses.replace(cert, matrix=tuple(cert.matrix))),
     ]
-    for x in (None, "0", 0.0, 1.0, Fraction(2, 1)):
+    for x in (0.0, Fraction(2, 1)):
         for where, k in (("nonzero", nonzero), ("zero", zero)):
             out.append((f"{x!r} at a {where}", _with_row(cert, moved, lambda row: _set(row, k, x))))
     return out
-
-
-def _outcome(Y, B, v, cert):
-    try:
-        return verify_certificate(Y, B, v, cert)
-    except Exception as exc:  # a bad entry may fail the same way in both
-        return type(exc)
 
 
 @pytest.mark.parametrize(
@@ -675,24 +663,106 @@ def _outcome(Y, B, v, cert):
 )
 def test_matrix_checks_match_dense_comparison(klein_n3_cover, klein_n3_basis, monkeypatch, v):
     """The column-map comparisons give the CertificateCheck the dense ``!=``
-    gave, on the 33 tampered certificates and the new shapes and entries,
-    with v as built and as floats."""
+    gave, on the 31 tampered certificates and the new shapes and entries."""
     Y, B = klein_n3_cover, klein_n3_basis
     cert = move_vector(Y, B, v)
-    cases = []
-    for name, c in _tampered(cert) + _more_tampered(cert):
-        cases.append((name, c, v))
-        cases.append((f"{name}, float v", c, [float(x) for x in v]))
-    new = [_outcome(Y, B, u, c) for _, c, u in cases]
+    cases = [(name, c, v) for name, c in _tampered(cert) + _more_tampered(cert)]
+    new = [verify_certificate(Y, B, u, c) for _, c, u in cases]
     monkeypatch.setattr(mover, "_matrix_nonzeros", dense_matrix_nonzeros)
     for (name, c, u), got in zip(cases, new):
-        assert got == _outcome(Y, B, u, c), name
+        assert got == verify_certificate(Y, B, u, c), name
     assert new[0].ok
     outcome = {name: got for (name, _, _), got in zip(cases, new)}
     for name in ("extra zero column", "short row, a zero dropped", "missing row", "extra zero row",
-                 "rows as tuples", "matrix as a tuple", "None at a zero"):
+                 "rows as tuples", "matrix as a tuple"):
         assert {"matrix vs formula", "matrix vs oracle"} <= set(outcome[name].failures), name
     assert outcome["0.0 at a zero"].ok
+
+
+# --- the exact contract --------------------------------------------------------------
+
+
+def _inexact(cert):
+    """(name, certificate, checks) triples: copies with a matrix or increment
+    entry that is not an int or a Fraction, and the checks each must fail."""
+    moved = next(i for i, row in enumerate(cert.matrix) if sum(map(bool, row)) > 1)
+    nonzero = next(k for k, x in enumerate(cert.matrix[moved]) if x)
+    zero = next(k for k, x in enumerate(cert.matrix[moved]) if x == 0)
+    matrix_checks = {"matrix vs formula", "matrix vs oracle", "iterate closed form"}
+    out = [
+        ("float entries", _with_row(cert, moved, lambda row: [float(x) for x in row]),
+         matrix_checks),
+        ("increment as floats", _with_increment(cert, lambda inc: [float(x) for x in inc]),
+         {"increment nonzero", "increment consistent", "iterate closed form"}),
+    ]
+    for x in (None, "0", 1.0):
+        for where, k in (("nonzero", nonzero), ("zero", zero)):
+            bad = _with_row(cert, moved, lambda row: _set(row, k, x))
+            out.append((f"{x!r} at a {where}", bad, matrix_checks))
+    return out
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, -2, 0, 0, 3, 0, 0, 0, 1],
+        [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, Fraction(7, 3)],
+    ],
+    ids=["unit", "integer", "p/q"],
+)
+def test_inexact_entries_fail_by_name(klein_n3_cover, klein_n3_basis, v):
+    """A float, None or str in the matrix or the increment fails every check
+    that reads the field, by name, instead of being stepped through in
+    floats; an entry equal to 0 is a zero whatever its type."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    cert = move_vector(Y, B, v)
+    for name, c, checks in _inexact(cert):
+        assert checks <= set(verify_certificate(Y, B, v, c).failures), name
+
+
+@pytest.mark.parametrize(
+    "x", [0.5, 0.0, "1", True, 1j], ids=["float", "float zero", "str", "bool", "complex"]
+)
+def test_inexact_v_raises_value_error(klein_n3_cover, klein_n3_basis, x):
+    """v is input, not certificate: like a bad depth, an entry of v that is
+    not an int or a Fraction is refused by index and type."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = [0, 1, 0, 0, 0, 0, 0, 0, 0]
+    cert = move_vector(Y, B, v)
+    bad = v[:4] + [x] + v[5:]
+    message = rf"^v\[4\] is a {type(x).__name__}, not an int or a Fraction$"
+    with pytest.raises(ValueError, match=message):
+        move_vector(Y, B, bad)
+    with pytest.raises(ValueError, match=message):
+        verify_certificate(Y, B, bad, cert)
+    # once refused only at its own self-check, as "iterate closed form"
+    with pytest.raises(ValueError, match=r"^v\[0\] is a float"):
+        move_vector(Y, B, [0.1] * 9)
+
+
+ODD_ENTRIES = st.sampled_from([None, 5, "0", 0.5, 1.0, True, []])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["ell_class", "increment", "row", "matrix"]),
+    ODD_ENTRIES | st.lists(ODD_ENTRIES, max_size=10),
+    st.integers(0, 8),
+)
+def test_odd_field_fails_by_name(field, value, i):
+    """The elementary_abelian:2,2 certificate with ell_class, the increment,
+    matrix row i or the whole matrix replaced by an odd value, or a list of
+    them, fails the check that reads the field, and nothing raises."""
+    Y, B, loop_cache = DIFFERENTIAL_COVERS[0]
+    v = [1, 0, 0, 0, 0, 0, 0, 0, 0]
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    if field == "row":
+        bad = _with_row(cert, i, lambda row: value)
+    else:
+        bad = dataclasses.replace(cert, **{field: value})
+    named = {"ell_class": "loop class mismatch", "increment": "increment consistent"}
+    assert named.get(field, "matrix vs formula") in verify_certificate(Y, B, v, bad).failures
 
 
 # --- the per-basis slide memo --------------------------------------------------------
@@ -725,19 +795,19 @@ def _loop_tampered(Y, cert):
     ids=["unit", "p/q"],
 )
 def test_warm_basis_checks_like_a_fresh_one(klein_n3_cover, v):
-    """Every tampered certificate gets the same CertificateCheck (or the same
-    exception type) on one basis whose memo the earlier cases filled as on a
-    fresh basis per case; the memo is replaced, never trusted, when a case
-    brings another loop or petal."""
+    """Every tampered certificate gets the same CertificateCheck on one basis
+    whose memo the earlier cases filled as on a fresh basis per case; the
+    memo is replaced, never trusted, when a case brings another loop or
+    petal."""
     Y = klein_n3_cover
     warm = cycle_basis(Y)
     cert = move_vector(Y, warm, v)
     cases = _tampered(cert) + _more_tampered(cert) + _loop_tampered(Y, cert)
-    cases += [("as built again", cert)]
+    cases += [(name, c) for name, c, _ in _inexact(cert)] + [("as built again", cert)]
     for name, c in cases:
-        got = _outcome(Y, warm, v, c)
-        assert got == _outcome(Y, cycle_basis(Y), v, c), name
-    outcome = {name: _outcome(Y, cycle_basis(Y), v, c) for name, c in cases}
+        got = verify_certificate(Y, warm, v, c)
+        assert got == verify_certificate(Y, cycle_basis(Y), v, c), name
+    outcome = {name: verify_certificate(Y, cycle_basis(Y), v, c) for name, c in cases}
     assert outcome["as built again"].ok
     assert "loop class mismatch" in outcome["ell squared"].failures
     assert "loop class mismatch" in outcome["ell_class + 1"].failures
