@@ -14,13 +14,15 @@ Exit codes: 0 success, 1 failed verification or selftest (for ``move``: the
 certificate failed self-verification, and the failed checks are named on
 stderr), 2 invalid configuration (also an output file that cannot be
 written), 3 disconnected cover, 4 zero vector, 5 rose rank too small, 6 loop
-search exhausted, 7 out of memory.
+search exhausted, 7 out of memory, 8 stdout closed (a reader such as ``head``
+stopped reading).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -92,6 +94,7 @@ EXIT_ZERO_VECTOR = 4
 EXIT_RANK_TOO_SMALL = 5
 EXIT_SEARCH_EXHAUSTED = 6
 EXIT_OUT_OF_MEMORY = 7
+EXIT_STDOUT_CLOSED = 8
 
 
 class ConfigError(ValueError):
@@ -599,7 +602,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's last flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ everywhere else, which :func:`verify_chevalley_weil` tests exactly.
 
 For deck groups of exponent 2 (all characters rational, +-1 valued) the
 isotypic decomposition is computed explicitly via the averaging projectors
-(1/|G|) sum chi(g) rho(g).  Each deck matrix's nonzeros are read once off
-the translated basis cycles and summed per character into row maps, so the
-work follows the nonzeros (a few per column) rather than |G| r^2 cells per
-character; each dimension is the exact sparse rank of the integer sum, which
-equals the projector's rank.  Only the projectors themselves are dense.
+P_chi = (1/|G|) sum chi(g) rho(g).  Since g = g^-1, the row of P_chi at the
+cotree edge (u, i) is chi(u)/|G| * W_i, with W_i[k] = sum_h chi(h) z_k[(h, i)]
+over the basis cycles z_k: n petal rows, read off the cycles' nonzeros,
+give every row, and each dimension is the exact sparse rank of those n
+integer rows.  Only the projectors themselves are dense.
 
 Elevations — closed lifts of w^k where k is the order of w's image — and the
 rank obstruction they satisfy are also provided: the preimage of a loop with
@@ -23,19 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .cover import CoverGraph, Word, commutator_word, lift_word
-from .groups import _greedy_generators, element_order, subgroup_generated
+from .groups import element_order, subgroup_generated
 from .homology import (
     HomologyBasis,
-    _sparse_coords,
     chain_of_path,
     chain_to_class,
     character,
     orbit_rank_of_chain,
-    translate_chain,
 )
 
 
@@ -74,34 +71,18 @@ class IsotypicReport:
 
 
 def _exponent_two_characters(Y: CoverGraph) -> list[tuple[int, ...]]:
+    """The +-1 characters, chi_s(g) = (-1)^(popcount(s & code[g])) for s
+    ascending over the codes of ``involution_cosets``, whose subgroup is the
+    whole group exactly when the group has exponent 2."""
     G = Y.group
-    for x in G.elements():
-        if element_order(G, x) > 2:
-            raise UnsupportedGroup(
-                f"element {x} has order {element_order(G, x)} > 2; "
-                "isotypic decomposition needs an exponent-2 abelian deck group"
-            )
-    # greedy F2 basis of the group
-    basis = _greedy_generators(G.mul)
-    # coordinates of every element over that basis
-    coords: dict[int, tuple[int, ...]] = {}
-    for bits in product(range(2), repeat=len(basis)):
-        g = 0
-        for b, bit in zip(basis, bits):
-            if bit:
-                g = G.mul[g][b]
-        coords[g] = bits
-    if len(coords) != G.order:
-        raise AssertionError(f"greedy basis reaches {len(coords)} of {G.order} elements")
-    chars = []
-    for signs in product(range(2), repeat=len(basis)):
-        chars.append(
-            tuple(
-                -1 if sum(s * c for s, c in zip(signs, coords[g])) % 2 else 1
-                for g in G.elements()
-            )
+    code, _, reps = G.involution_cosets
+    if len(reps) > 1:
+        x = next(x for x in G.elements() if element_order(G, x) > 2)
+        raise UnsupportedGroup(
+            f"element {x} has order {element_order(G, x)} > 2; "
+            "isotypic decomposition needs an exponent-2 abelian deck group"
         )
-    return chars
+    return [tuple(-1 if (s & a).bit_count() & 1 else 1 for a in code) for s in range(G.order)]
 
 
 def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
@@ -114,34 +95,26 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
     """
     chars = _exponent_two_characters(Y)
     order, r = Y.group.order, B.rank
-    # each deck matrix's (row, col, value) nonzeros, read off the translated
-    # basis cycles once and shared by all characters
-    nonzeros = []
-    for g in Y.group.elements():
-        nonzeros.append([
-            (i, k, x)
-            for k, zk in enumerate(B.cycles)
-            for i, x in _sparse_coords(B, translate_chain(Y, g, zk)).items()
-        ])
+    terms = [(k, i, h, c) for k, zk in enumerate(B.cycles) for (h, i), c in zk.items()]
     dims = {}
     projectors = {}
     for chi in chars:
-        acc: list[dict] = [{} for _ in range(r)]
-        for coef, entries in zip(chi, nonzeros):
-            for i, k, x in entries:
-                row = acc[i]
-                row[k] = row.get(k, 0) + coef * x
-        acc = [{k: x for k, x in row.items() if x} for row in acc]
-        # the integer sum has the rank of the projector acc / |G|
-        dims[chi] = linalg.sparse_rank(acc)
-        # one Fraction per distinct sum, shared by every cell that holds it
-        values = {x for row in acc for x in row.values()}
-        fractions = {x: Fraction(x, order) for x in values}
-        projector = linalg.mat_zero(r, r)
-        for row, out in zip(acc, projector):
-            for k, x in row.items():
-                out[k] = fractions[x]
-        projectors[chi] = projector
+        petal_rows: list[dict] = [{} for _ in range(Y.n + 1)]
+        for k, i, h, c in terms:
+            row = petal_rows[i]
+            row[k] = row.get(k, 0) + chi[h] * c
+        petal_rows = [{k: x for k, x in row.items() if x} for row in petal_rows]
+        dims[chi] = linalg.sparse_rank(petal_rows[1:])
+        # one Fraction per value, shared by every cell that holds it
+        fractions: dict[int, Fraction] = {}
+        lines = {}
+        for i, row in enumerate(petal_rows):
+            for sign in (1, -1):
+                line = lines[sign, i] = [0] * r
+                for k, x in row.items():
+                    x *= sign
+                    line[k] = fractions.get(x) or fractions.setdefault(x, Fraction(x, order))
+        projectors[chi] = [lines[chi[u], i][:] for u, i in B.cotree]
     return IsotypicReport(characters=tuple(chars), dims=dims, projectors=projectors)
 
 

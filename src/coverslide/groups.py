@@ -13,6 +13,7 @@ composition, a digit-by-digit recursion) and pass the same validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, permutations
 from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Sequence
@@ -56,6 +57,32 @@ class FiniteGroup:
         for _ in range(k):
             acc = self.mul[acc][x]
         return acc
+
+    @cached_property
+    def involution_cosets(self) -> tuple[list[int], list[int], list[int]]:
+        """``(code, coset, reps)`` over an elementary abelian 2-subgroup A.
+
+        A is generated greedily: each involution in turn that commutes with
+        the earlier generators and is not in their span.  Every g is ``a*t``
+        with ``t = reps[coset[g]]`` the least element of its right coset
+        ``A*g``, and ``a`` in A has the F2 coordinates ``code[g]`` over A's
+        generators, the first generator the highest bit.  The table lives on
+        the group, so it is freed with it."""
+        mul = self.mul
+        span: dict[int, int] = {0: 0}
+        gens: list[int] = []
+        for x in range(1, self.order):
+            if x not in span and mul[x][x] == 0 and all(mul[x][g] == mul[g][x] for g in gens):
+                gens.append(x)
+                doubled = {a: c << 1 for a, c in span.items()}
+                span = doubled | {mul[a][x]: c | 1 for a, c in doubled.items()}
+        code, coset, reps = [0] * self.order, [-1] * self.order, []
+        for t in range(self.order):
+            if coset[t] < 0:
+                for a, c in span.items():
+                    coset[mul[a][t]], code[mul[a][t]] = len(reps), c
+                reps.append(t)
+        return code, coset, reps
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ class HomologyBasis:
     once and reads on every later move and re-check (see
     ``mover._lifted_slide``).  ``L`` is a :class:`~coverslide.slides.LiftedSlide`,
     plain data that does not hold the basis, so the basis is freed by
-    reference counting."""
+    reference counting.  ``rank_memo`` is ``(cover, chain, rank)`` for the
+    last whole-group :func:`orbit_rank_of_chain` answer on this basis."""
 
     cover: CoverGraph
     root: int
@@ -96,6 +97,7 @@ class HomologyBasis:
     cycles: tuple[Chain1, ...]
     cotree_index: dict
     slide_memo: dict = field(default_factory=dict, init=False, repr=False)
+    rank_memo: tuple = field(default=(None, None, 0), init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -253,10 +255,52 @@ def orbit_rank_of_chain(
     z: Mapping[Edge, Rational],
     elements: Iterable[int] | None = None,
 ) -> int:
-    """Rank of the span of the deck translates of a cycle's class."""
-    if elements is None:
-        elements = Y.group.elements()
-    return linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
+    """Rank of the span of the deck translates of a cycle's class.
+
+    Over the whole group, a cycle on a basis of the whole cover is ranked in
+    the edge space, where its class is the cycle itself, split over the +-1
+    characters chi of the subgroup A of ``Y.group.involution_cosets``
+    (Serre, *Linear Representations of Finite Groups*, 2.6): with R the
+    right-coset representatives and e_chi = sum_a chi(a) a, the span of the
+    g z is the direct sum over chi of the spans of the e_chi r z, r in R.
+    A vector of the chi summand is fixed by its values on one edge (t, i)
+    per A-orbit, t in R, so row (chi, r) is the Walsh-Hadamard transform
+    over A of r z on those edges, and the rank is a sum of one elimination
+    per chi over |R| rows; for |R| = 1 (exponent 2) it counts nonzero rows.
+    The last whole-group answer is kept in ``B.rank_memo`` for its cover
+    object and chain.  Any other call (``elements``, a component basis, a
+    non-cycle, |A| = 1) eliminates the translates' cotree coordinates."""
+    if elements is not None:
+        return linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
+    cover, chain, value = B.rank_memo
+    if cover is Y and chain == z:
+        return value
+    G = Y.group
+    code, coset, reps = G.involution_cosets
+    whole_cover = len(B.edges) == Y.n * G.order and B.edge_set.issuperset(z)
+    if len(reps) < G.order and whole_cover and not chain_boundary(Y, z):
+        value = _split_rank(Y, z, code, coset, reps)
+    else:
+        value = linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in G.elements())
+    B.rank_memo = (Y, dict(z), value)
+    return value
+
+
+def _split_rank(Y: CoverGraph, z: Mapping[Edge, Rational], code: list, coset: list, reps: list) -> int:
+    # r z has c at (r h, i) = (a t, i): column (t, i), sign chi(a)
+    n, mul = Y.n, Y.group.mul
+    terms = [(h, i, c) for (h, i), c in z.items() if c]
+    rows = [[(coset[mul[r][h]] * n + i, code[mul[r][h]], c) for h, i, c in terms] for r in reps]
+    total = 0
+    for s in range(Y.group.order // len(reps)):
+        summand = []
+        for row in rows:
+            acc: dict[int, Rational] = {}
+            for col, a, c in row:
+                acc[col] = acc.get(col, 0) + (-c if (s & a).bit_count() & 1 else c)
+            summand.append({col: x for col, x in acc.items() if x})
+        total += linalg.sparse_rank(summand) if len(rows) > 1 else bool(summand[0])
+    return total
 
 
 def orbit_rank(

@@ -38,10 +38,6 @@ def mat_identity(k: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def mat_zero(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
 

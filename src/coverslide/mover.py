@@ -288,8 +288,9 @@ def verify_certificate(
 
     Returns ok=False with the list of failed checks rather than raising, so
     tampered certificates can be diagnosed: a field of the wrong type (a
-    petal that is not an int, an ``ell`` that is not a :class:`Word`, a
-    nonzero that is not an int or a Fraction) fails the check that reads it.
+    scalar that is not exactly an int, so not a bool or a float, an ``ell``
+    that is not a :class:`Word`, a nonzero that is not an int or a Fraction)
+    fails the check that reads it.
     One pass over the certificate's matrix gives its column nonzeros,
     compared with the formula's and the oracle's columns (a matrix that is
     not r lists of r entries fails both), and its row nonzeros for the two
@@ -311,7 +312,7 @@ def verify_certificate(
     den, w = scaled = _scaled(v)
     ell, is_word = cert.ell, isinstance(cert.ell, Word)
 
-    property1 = isinstance(j, int) and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
+    property1 = type(j) is int and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
     if not property1:
         failures.append("property 1")
 
@@ -322,7 +323,7 @@ def verify_certificate(
     chain_w = class_to_chain(B, w)
     columns, rows = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
-    is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(isinstance(x, int) for x in pe)
+    is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(type(x) is int for x in pe)
     if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
         failures.append("pairing edge")
 
@@ -337,7 +338,8 @@ def verify_certificate(
             rank_value = orbit_rank_of_chain(Y, B, ell_chain)
         if ell_class != _exact(cert.ell_class):
             failures.append("loop class mismatch")
-        if rank_value != order or cert.orbit_rank_value != rank_value:
+        claimed = cert.orbit_rank_value
+        if rank_value != order or type(claimed) is not int or claimed != rank_value:
             failures.append("property 3")
     else:
         failures.append("property 3")
@@ -360,7 +362,7 @@ def verify_certificate(
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
-    if isinstance(depth, int) and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows or ()) == r:
+    if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows or ()) == r:
         failure = _iterate_failure(cert, v, rows, scaled)
         if failure:
             failures.append(failure)

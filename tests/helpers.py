@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from coverslide import builtin_group, cycle_basis, make_cover, standard_images
+from coverslide import builtin_group, cycle_basis, group_from_json, make_cover, standard_images, translate_chain
+from coverslide.groups import _greedy_generators
+from coverslide.homology import _sparse_coords
+from coverslide.linalg import sparse_rank
 
 BATTERY_FAMILIES = (
     ("trivial", ()),
@@ -57,3 +60,32 @@ def unit_vector(rank: int, k: int) -> list:
     v = [0] * rank
     v[k] = 1
     return v
+
+
+def relabeled(G, rng):
+    """G with its non-identity elements renamed by a random permutation,
+    read back through ``group_from_json``."""
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            table[perm[x]][perm[y]] = perm[G.mul[x][y]]
+    return group_from_json({"mul": table})
+
+
+def generating_images(G, rng, extra):
+    """A shuffled tuple of images that generates G: its greedy generators
+    plus ``extra`` random elements, at least two in all."""
+    images = _greedy_generators(G.mul) + [rng.randrange(G.order) for _ in range(extra)]
+    while len(images) < 2:
+        images.append(rng.randrange(G.order))
+    rng.shuffle(images)
+    return tuple(images)
+
+
+def reference_orbit_rank(Y, B, z, elements=None):
+    """The orbit rank by one elimination of the translates' cotree
+    coordinates, for any chain, basis and set of elements."""
+    if elements is None:
+        elements = Y.group.elements()
+    return sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)

@@ -151,6 +151,23 @@ def test_move_depth_over_bound_exit_2():
     assert f"1..{mover.MAX_ITERATE_DEPTH}" in proc.stderr
 
 
+def test_closed_stdout_exit_8():
+    # the reader takes one byte of a large JSON document and closes the pipe
+    src = str(Path(coverslide.__file__).resolve().parent.parent)
+    argv = ["move", "--group", "cyclic:128", "--n", "3", "--vector-word", "a3", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coverslide.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_STDOUT_CLOSED == 8
+    assert "Traceback" not in err, err
+
+
 # --- verify-cw ----------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverslide import (
     UnsupportedGroup,
@@ -21,7 +24,8 @@ from coverslide import (
     make_cover,
     verify_chevalley_weil,
 )
-from coverslide.cwcheck import isotypic_report_to_json
+from coverslide.cwcheck import _exponent_two_characters, isotypic_report_to_json
+from coverslide.groups import _greedy_generators
 from coverslide.linalg import (
     mat_identity,
     mat_is_zero,
@@ -34,7 +38,7 @@ from coverslide.linalg import (
     vec_sub,
 )
 
-from helpers import battery_covers
+from helpers import battery_covers, generating_images, relabeled
 
 
 def lift_class(Y, B, text, start=0):
@@ -166,6 +170,50 @@ def test_isotypic_matches_dense_accumulation():
             assert matrix_to_json(iso.projectors[chi]) == matrix_to_json(projectors[chi]), name
         checked += 1
     assert checked == 11
+
+
+def product_characters(G):
+    """The +-1 characters of an exponent-2 group by sign patterns over its
+    greedy F2 basis, in ``itertools.product`` order."""
+    basis = _greedy_generators(G.mul)
+    coords = {}
+    for bits in product(range(2), repeat=len(basis)):
+        g = 0
+        for b, bit in zip(basis, bits):
+            if bit:
+                g = G.mul[g][b]
+        coords[g] = bits
+    return [
+        tuple(-1 if sum(s * c for s, c in zip(signs, coords[g])) % 2 else 1 for g in G.elements())
+        for signs in product(range(2), repeat=len(basis))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32))
+def test_characters_from_the_coset_table_match_sign_patterns(k, seed):
+    rng = random.Random(seed)
+    G = relabeled(builtin_group("elementary_abelian", 2, k), rng)
+    Y = make_cover(G, generating_images(G, rng, 0))
+    assert _exponent_two_characters(Y) == product_characters(G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 1))
+def test_isotypic_matches_dense_accumulation_on_relabeled_tables(k, seed, extra):
+    rng = random.Random(seed)
+    G = relabeled(builtin_group("elementary_abelian", 2, k), rng)
+    Y = make_cover(G, generating_images(G, rng, extra))
+    B = cycle_basis(Y)
+    iso = isotypic_decomposition(Y, B)
+    dims, projectors = dense_isotypic(Y, B, iso.characters)
+    assert iso.dims == dims
+    assert iso.projectors == projectors
+    for chi in iso.characters:
+        assert matrix_to_json(iso.projectors[chi]) == matrix_to_json(projectors[chi])
+        rows = iso.projectors[chi]
+        assert len({id(row) for row in rows}) == len(rows)
+        assert {type(x) for row in rows for x in row if x == 0} <= {int}
 
 
 def test_isotypic_unsupported(cyclic3_cover):

@@ -472,3 +472,36 @@ def test_validator_cases_reach_every_outcome():
     assert _validated(from_mul_table, [[0, 1], [1, Int(0)]], None)[0] == ((0, 1), (1, 0))
     for table in (NO_IDENTITY, LEFT_IDENTITY_ONLY):
         assert _validated(from_mul_table, table, None)[1] == "no two-sided identity element"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("trivial:", "cyclic:8", "cyclic:9", "dihedral:6", "symmetric:4", "symmetric:5",
+                     "elementary_abelian:2,4", "elementary_abelian:3,2")),
+    st.randoms(use_true_random=False),
+)
+def test_involution_cosets_split_every_element(spec, rng):
+    """Every g is a*t: t = reps[coset[g]] the least element of the right
+    coset A*g, and a in A, an elementary abelian 2-subgroup whose F2 codes
+    add under the group product."""
+    G = builtin_group_from_string(spec.rstrip(":"))
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            table[perm[x]][perm[y]] = perm[G.mul[x][y]]
+    G = group_from_json({"mul": table})
+    code, coset, reps = G.involution_cosets
+    A = [g for g in G.elements() if coset[g] == 0]
+    by_code = {code[a]: a for a in A}
+    assert len(by_code) == len(A) == G.order // len(reps)
+    assert len(A) & (len(A) - 1) == 0 and max(code) < len(A)
+    for a in A:
+        assert G.mul[a][a] == 0
+        for b in A:
+            assert G.mul[a][b] == G.mul[b][a] and code[G.mul[a][b]] == code[a] ^ code[b]
+    for g in G.elements():
+        t = reps[coset[g]]
+        assert G.mul[by_code[code[g]]][t] == g
+        assert t == min(G.mul[a][g] for a in A)
+    assert G.involution_cosets is G.involution_cosets

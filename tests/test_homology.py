@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverslide import (
     NotACycle,
@@ -36,9 +38,9 @@ from coverslide.linalg import (
     vector_to_json,
 )
 
-from coverslide.homology import chain_add, tree_path_steps
+from coverslide.homology import chain_add, chain_add_scaled, tree_path_steps
 
-from helpers import battery_covers
+from helpers import battery_covers, generating_images, reference_orbit_rank, relabeled
 
 
 def lift_class(Y, B, text, start=0):
@@ -343,3 +345,77 @@ def test_battery_cycles_match_former_builder():
     for name, Y, _ in battery_covers():
         for B, (_, _, cycles) in _bases_and_former(Y):
             assert [list(z.items()) for z in B.cycles] == [list(z.items()) for z in cycles], name
+
+
+# --- orbit rank split over an elementary abelian 2-subgroup -------------------------
+
+SPLIT_SPECS = (
+    "cyclic:4", "cyclic:6", "cyclic:8", "cyclic:9", "dihedral:3", "dihedral:4", "dihedral:6",
+    "symmetric:3", "symmetric:4", "elementary_abelian:2,1", "elementary_abelian:2,2",
+    "elementary_abelian:2,3", "elementary_abelian:2,4", "elementary_abelian:2,5",
+    "elementary_abelian:3,2",
+)
+_COEFFICIENTS = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+def _random_cover(spec, seed, extra):
+    rng = random.Random(seed)
+    G = relabeled(builtin_group_from_string(spec), rng)
+    Y = make_cover(G, generating_images(G, rng, extra))
+    return Y, cycle_basis(Y), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SPLIT_SPECS),
+    st.integers(0, 2**32),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(0, 10**6), _COEFFICIENTS), min_size=1, max_size=4),
+)
+def test_split_route_matches_one_elimination(spec, seed, extra, terms):
+    """On relabelled tables with random generating images, the rank of a
+    cycle's deck orbit equals the elimination of all |G| translates."""
+    Y, B, _ = _random_cover(spec, seed, extra)
+    z = {}
+    for k, c in terms:
+        chain_add_scaled(z, B.cycles[k % B.rank], c)
+    assert orbit_rank_of_chain(Y, B, z) == reference_orbit_rank(Y, B, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SPLIT_SPECS), st.integers(0, 2**32), st.integers(0, 2))
+def test_other_calls_keep_the_cotree_elimination(spec, seed, extra):
+    """Non-cycles, explicit elements and component bases return what one
+    elimination of the translates' cotree coordinates returns."""
+    Y, B, rng = _random_cover(spec, seed, extra)
+    edges = list(Y.edges())
+    chain = {e: rng.choice((1, -1, Fraction(1, 3))) for e in rng.sample(edges, min(3, len(edges)))}
+    assert orbit_rank_of_chain(Y, B, chain) == reference_orbit_rank(Y, B, chain)
+    z = dict(B.cycles[rng.randrange(B.rank)])
+    elements = rng.sample(range(Y.group.order), rng.randint(1, Y.group.order))
+    assert orbit_rank_of_chain(Y, B, z, elements) == reference_orbit_rank(Y, B, z, elements)
+    for j in range(1, Y.n + 1):
+        Bc = component_basis(petal_complement_components(Y, j)[0])
+        for zk in Bc.cycles[:2]:
+            assert orbit_rank_of_chain(Y, Bc, zk) == reference_orbit_rank(Y, Bc, zk)
+
+
+def test_rank_memo_answers_only_for_its_cover_and_chain(klein_n3_cover):
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    z, other = dict(B.cycles[0]), dict(B.cycles[1])
+    value = orbit_rank_of_chain(Y, B, z)
+    assert B.rank_memo == (Y, z, value)
+    B.rank_memo = (Y, z, 99)  # a planted answer shows which calls read it
+    assert orbit_rank_of_chain(Y, B, dict(z)) == 99
+    twin = make_cover(Y.group, Y.images)
+    assert twin == Y and twin is not Y
+    assert orbit_rank_of_chain(twin, B, z) == value
+    B.rank_memo = (Y, z, 99)
+    assert orbit_rank_of_chain(Y, B, other) == reference_orbit_rank(Y, B, other)
+    B.rank_memo = (Y, z, 99)
+    assert orbit_rank_of_chain(Y, B, z, Y.group.elements()) == value
+    # the memo holds a copy: changing the caller's chain does not change it
+    orbit_rank_of_chain(Y, B, other)
+    other.clear()
+    assert orbit_rank_of_chain(Y, B, other) == 0

@@ -15,6 +15,7 @@ from coverslide import (
     Word,
     ZeroVector,
     builtin_group,
+    builtin_group_from_string,
     certificate_to_json,
     chain_of_path,
     chain_to_class,
@@ -36,7 +37,7 @@ from coverslide import (
     standard_images,
     verify_certificate,
 )
-from coverslide import mover
+from coverslide import homology, mover
 from coverslide.cli import _dumps
 from coverslide.linalg import mat_vec, vec_is_zero
 
@@ -340,6 +341,9 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         ("pairing_edge", (0,), "pairing edge"),
         ("pairing_edge", 5, "pairing edge"),
         ("pairing_edge", ([0], 3), "pairing edge"),
+        ("pairing_edge", (False, 3), "pairing edge"),
+        ("orbit_rank_value", 4.0, "property 3"),
+        ("iterates_checked", True, "iterate closed form"),
         ("petal", "1", "property 1"),
         ("petal", None, "property 1"),
         ("iterates_checked", "10", "iterate closed form"),
@@ -874,6 +878,28 @@ def test_memo_computes_each_slide_once_per_basis(klein_n3_cover, monkeypatch):
     assert verify_certificate(twin, B, v, cert).ok
     assert calls["formula"] == before["formula"] + 1
     assert B.slide_memo[cert.petal][0].cover is twin
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "symmetric:4", "elementary_abelian:2,3"])
+def test_property_three_reads_the_search_rank(spec, monkeypatch):
+    """The loop the search accepts is ranked once: the slide's orbit rank
+    for property 3 is the basis's memo of the search's last answer."""
+    G = builtin_group_from_string(spec)
+    Y = make_cover(G, standard_images(G, 3))
+    B = cycle_basis(Y)
+    calls = {"rank": 0, "split": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mover, "orbit_rank_of_chain", counted("rank", mover.orbit_rank_of_chain))
+    monkeypatch.setattr(homology, "_split_rank", counted("split", homology._split_rank))
+    cert = move_vector(Y, B, unit_vector(B.rank, B.rank - 1))
+    assert cert.orbit_rank_value == G.order
+    assert calls["split"] == calls["rank"] - 1 >= 1
 
 
 def test_basis_is_freed_by_reference_counting(klein_n3_cover):
