@@ -17,6 +17,8 @@ from coverslide import (
     subgroup_generated,
 )
 
+from helpers import relabeled
+
 KLEIN_TABLE = [
     [0, 1, 2, 3],
     [1, 0, 3, 2],
@@ -476,7 +478,7 @@ def test_validator_cases_reach_every_outcome():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(("trivial:", "cyclic:8", "cyclic:9", "dihedral:6", "symmetric:4", "symmetric:5",
+    st.sampled_from(("trivial", "cyclic:8", "cyclic:9", "dihedral:6", "symmetric:4", "symmetric:5",
                      "elementary_abelian:2,4", "elementary_abelian:3,2")),
     st.randoms(use_true_random=False),
 )
@@ -484,13 +486,7 @@ def test_involution_cosets_split_every_element(spec, rng):
     """Every g is a*t: t = reps[coset[g]] the least element of the right
     coset A*g, and a in A, an elementary abelian 2-subgroup whose F2 codes
     add under the group product."""
-    G = builtin_group_from_string(spec.rstrip(":"))
-    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
-    table = [[0] * G.order for _ in range(G.order)]
-    for x in range(G.order):
-        for y in range(G.order):
-            table[perm[x]][perm[y]] = perm[G.mul[x][y]]
-    G = group_from_json({"mul": table})
+    G = relabeled(builtin_group_from_string(spec), rng)
     code, coset, reps = G.involution_cosets
     A = [g for g in G.elements() if coset[g] == 0]
     by_code = {code[a]: a for a in A}

@@ -341,9 +341,6 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         ("pairing_edge", (0,), "pairing edge"),
         ("pairing_edge", 5, "pairing edge"),
         ("pairing_edge", ([0], 3), "pairing edge"),
-        ("pairing_edge", (False, 3), "pairing edge"),
-        ("orbit_rank_value", 4.0, "property 3"),
-        ("iterates_checked", True, "iterate closed form"),
         ("petal", "1", "property 1"),
         ("petal", None, "property 1"),
         ("iterates_checked", "10", "iterate closed form"),
@@ -355,6 +352,9 @@ def test_verify_rejects_non_real_entries_without_raising(klein_n3_cover, klein_n
         ("matrix", [None] * 9, "matrix vs formula"),
         ("matrix", [5] * 9, "matrix vs formula"),
         ("ell", "a1", "property 1"),
+        ("pairing_edge", (False, 3), "pairing edge"),
+        ("orbit_rank_value", 4.0, "property 3"),
+        ("iterates_checked", True, "iterate closed form"),
     ],
 )
 def test_verify_rejects_malformed_fields_without_raising(
