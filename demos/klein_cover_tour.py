@@ -27,7 +27,7 @@ from coverslide import (
     to_dot,
     verify_chevalley_weil,
 )
-from coverslide.linalg import format_rational, mat_vec, vec_scale, vec_sub
+from coverslide.linalg import mat_vec, vec_scale, vec_sub
 
 G = builtin_group("elementary_abelian", 2, 2)
 Y = make_cover(G, (1, 2))  # q(a1) = (1,0), q(a2) = (0,1)
@@ -43,7 +43,7 @@ print()
 print("== Character of the deck action ==")
 report = verify_chevalley_weil(Y, B)
 for g, t in report.traces.items():
-    print(f"  trace at {G.labels[g]}: {format_rational(t)}")
+    print(f"  trace at {G.labels[g]}: {t}")
 print(f"matches (n-1)|G|+1 at the identity and 1 elsewhere: {report.verdict}")
 print()
 
@@ -67,15 +67,15 @@ A = lift_class("a1.a1")  # lift of a^2 at the identity vertex
 Bcls = lift_class("a2.a2")
 x_a = vec_sub(A, mat_vec(rho[qb], A))
 x_b = vec_sub(Bcls, mat_vec(rho[qa], Bcls))
-print(f"A - q(b)A = {[format_rational(c) for c in x_a]}")
+print(f"A - q(b)A = {[str(c) for c in x_a]}")
 print(f"  fixed by q(a): {mat_vec(rho[qa], x_a) == x_a}, negated by q(b): {mat_vec(rho[qb], x_a) == vec_scale(-1, x_a)}")
-print(f"B - q(a)B = {[format_rational(c) for c in x_b]}")
+print(f"B - q(a)B = {[str(c) for c in x_b]}")
 print(f"  negated by q(a): {mat_vec(rho[qa], x_b) == vec_scale(-1, x_b)}, fixed by q(b): {mat_vec(rho[qb], x_b) == x_b}")
 
 C = elevation_class(Y, B, Word.from_string("a1.a2"), 0)
 C_prime = elevation_class(Y, B, Word.from_string("a2.a1"), 0)
 x_ab = vec_sub(C, C_prime)
-print(f"elev(ab) - elev(ba) = {[format_rational(c) for c in x_ab]}")
+print(f"elev(ab) - elev(ba) = {[str(c) for c in x_ab]}")
 print(f"  negated by both generators: "
       f"{mat_vec(rho[qa], x_ab) == vec_scale(-1, x_ab) and mat_vec(rho[qb], x_ab) == vec_scale(-1, x_ab)}")
 

@@ -17,7 +17,7 @@ from coverslide import (
     move_vector,
     verify_certificate,
 )
-from coverslide.linalg import format_rational, mat_vec
+from coverslide.linalg import mat_vec
 
 G = builtin_group("elementary_abelian", 2, 2)
 Y = make_cover(G, (1, 2, 0))  # third petal maps to the identity: four loop edges
@@ -40,13 +40,13 @@ print(f"   identity component of the cover minus the a{cert.petal}-edges)")
 print(f"pairing edge:    {tuple(cert.pairing_edge)} carries a nonzero coefficient of v")
 print(f"orbit rank:      {cert.orbit_rank_value} = |G|, so the deck translates of the")
 print("                 lifted loop's class are linearly independent")
-print(f"increment:       {[format_rational(c) for c in cert.increment]}")
+print(f"increment:       {[str(c) for c in cert.increment]}")
 print()
 
 print("== Iterates F^d(v) = v + d * increment ==")
 w = list(v)
 for d in range(5):
-    print(f"  d={d}: {[format_rational(c) for c in w]}")
+    print(f"  d={d}: {[str(c) for c in w]}")
     w = mat_vec(cert.matrix, w)
 print("  ... pairwise distinct for every d, hence an infinite orbit")
 print()

@@ -4,7 +4,8 @@ Commands: ``build``, ``verify-cw``, ``move``, ``slide``, ``selftest``.
 Covers are specified by ``--group`` (a builtin family like ``cyclic:5`` or a
 JSON file with a multiplication table), ``--n`` and ``--images`` (element
 indices or labels).  Output is human-readable by default, JSON with
-``--json``; all runs are deterministic given the flags and ``--seed``.
+``--json``; all runs are deterministic given the flags and ``--seed``.  The
+JSON payload is built only when it is written, with ``--json`` or ``--out``.
 
 ``move --vector`` takes comma-separated rationals, also with a negative
 first coordinate (``--vector -1,0,...``).  ``--depth`` must be in
@@ -62,6 +63,7 @@ from .groups import (
 )
 from .homology import (
     HomologyBasis,
+    chain_add,
     chain_of_path,
     chain_to_class,
     cycle_basis,
@@ -222,10 +224,16 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
+def _writes_json(args: argparse.Namespace) -> bool:
+    """True iff the command writes JSON: ``--json`` or ``move --out``."""
+    return bool(args.json or args.out)
+
+
+def _emit(args: argparse.Namespace, payload: dict | None, human_lines: list[str]) -> None:
     """Print the payload's JSON with ``--json``, else the human lines; with
-    ``move --out``, also write the same JSON text to that file."""
-    if args.json or args.out:
+    ``move --out``, also write the same JSON text to that file.  The payload
+    is ``None`` when no JSON is written."""
+    if _writes_json(args):
         text = _dumps(payload)
         if args.out:
             _write(args.out, text)
@@ -251,17 +259,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify_cw(args: argparse.Namespace) -> int:
     Y, B = _cover_from_args(args)
     report = verify_chevalley_weil(Y, B)
-    payload = character_report_to_json(report)
-    lines = [f"order={report.order} rank={report.rank}"]
-    lines.append(
-        "traces: "
-        + " ".join(
-            f"{Y.group.labels[g]}:{linalg.format_rational(t)}" for g, t in report.traces.items()
-        )
-    )
+    payload = character_report_to_json(report) if _writes_json(args) else None
+    traces = " ".join(f"{Y.group.labels[g]}:{t}" for g, t in report.traces.items())
+    lines = [f"order={report.order} rank={report.rank}", f"traces: {traces}"]
     try:
         iso = isotypic_decomposition(Y, B)
-        payload["isotypic"] = isotypic_report_to_json(iso)
+        if payload is not None:
+            payload["isotypic"] = isotypic_report_to_json(iso)
         dims = ",".join(str(iso.dims[chi]) for chi in iso.characters)
         lines.append(f"isotypic dims: {dims}")
     except UnsupportedGroup:
@@ -280,8 +284,7 @@ def cmd_move(args: argparse.Namespace) -> int:
     cert = move_vector(
         Y, B, v, max_candidates=args.max_candidates, seed=args.seed, depth=args.depth
     )
-    payload = certificate_to_json(cert, Y)
-    payload["verified"] = True
+    payload = {**certificate_to_json(cert, Y), "verified": True} if _writes_json(args) else None
     _emit(
         args,
         payload,
@@ -311,7 +314,7 @@ def cmd_slide(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     payload = lifted_slide_to_json(L)
     lines = [f"petal={s.j} ell={ell.to_string()!r} rank={B.rank}"]
-    # the JSON rows are each entry's format_rational text
+    # the JSON rows are each entry's str text
     lines.extend(" ".join(row) for row in payload["matrix"])
     _emit(args, payload, lines)
     return EXIT_OK
@@ -420,8 +423,6 @@ def _random_slide(Y, B, rng) -> Word | None:
 
 
 def _suite_slides(covers, rng) -> str:
-    from .linalg import mat_identity, mat_is_zero, mat_mul, mat_sub
-
     checked = 0
     for _, Y in covers:
         B = cycle_basis(Y)
@@ -433,8 +434,18 @@ def _suite_slides(covers, rng) -> str:
             s = make_slide(Y.n, j, ell)
             L = lifted_action_formula(s, Y, B)
             _check(lifted_action_oracle(s, Y, B) == L.columns, "formula != oracle")
-            delta = mat_sub(L.matrix, mat_identity(B.rank))
-            _check(mat_is_zero(mat_mul(delta, delta)), "slide action not unipotent")
+            # (F - I)^2 = 0: each column of F - I, pushed through F - I, vanishes
+            delta = []
+            for k, col in enumerate(L.columns):
+                d = dict(col)
+                chain_add(d, k, -1)
+                delta.append(d)
+            for d in delta:
+                square: dict = {}
+                for i, x in d.items():
+                    for r, y in delta[i].items():
+                        chain_add(square, r, x * y)
+                _check(not square, "slide action not unipotent")
             checked += 1
     return f"{checked} slides formula==oracle"
 

@@ -206,10 +206,6 @@ def path_end(Y: CoverGraph, p: EdgePath) -> int:
     return v
 
 
-def path_is_closed(Y: CoverGraph, p: EdgePath) -> bool:
-    return path_end(Y, p) == p.start
-
-
 def lift_word(Y: CoverGraph, w: Word, start: int) -> EdgePath:
     """The unique lift of the word starting at the given vertex.
 
@@ -246,7 +242,6 @@ class ComponentSubgraph:
     """
 
     cover: CoverGraph
-    petal_removed: int
     coset_rep: int
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -268,7 +263,6 @@ def petal_complement_components(Y: CoverGraph, j: int) -> list[ComponentSubgraph
         comps.append(
             ComponentSubgraph(
                 cover=Y,
-                petal_removed=j,
                 coset_rep=block[0],
                 vertices=block,
                 edges=edges,

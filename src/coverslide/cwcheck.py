@@ -182,7 +182,7 @@ def character_report_to_json(report: CharacterReport) -> dict:
     return {
         "order": report.order,
         "rank": report.rank,
-        "traces": {str(g): linalg.format_rational(t) for g, t in report.traces.items()},
+        "traces": {str(g): str(t) for g, t in report.traces.items()},
         "verdict": report.verdict,
     }
 

@@ -13,10 +13,10 @@ composition, a digit-by-digit recursion) and pass the same validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, permutations
 from operator import itemgetter
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ASSOCIATIVITY_CHECK_BOUND = 256
 _MAX_BUILTIN_ORDER = 1024
@@ -39,16 +39,8 @@ class FiniteGroup:
     inv: tuple[int, ...]
     labels: tuple[str, ...]
 
-    identity: ClassVar[int] = 0
-
     def elements(self) -> range:
         return range(self.order)
-
-    def product(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def inverse(self, x: int) -> int:
-        return self.inv[x]
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -96,9 +88,6 @@ class Subgroup:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
 
 def from_mul_table(
@@ -312,6 +301,7 @@ def _dihedral(m: int) -> FiniteGroup:
     return from_mul_table(table, labels, trusted=order > ASSOCIATIVITY_CHECK_BOUND)
 
 
+@cache  # at most five tables; a bad k raises and is not cached
 def _symmetric(k: int) -> FiniteGroup:
     if not 1 <= k <= 5:
         raise UnsupportedFamily(f"symmetric({k}): k must be in 1..5")
@@ -466,14 +456,6 @@ def element_order(group: FiniteGroup, x: int) -> int:
         y = group.mul[y][x]
         k += 1
     return k
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    return {
-        "order": group.order,
-        "mul": [list(row) for row in group.mul],
-        "labels": list(group.labels),
-    }
 
 
 def group_from_json(data: dict, *, trusted: bool = False) -> FiniteGroup:

@@ -42,13 +42,6 @@ def chain_add(dst: Chain1, e: Edge, c: Rational) -> None:
         dst[e] = v
 
 
-def chain_add_scaled(dst: Chain1, src: Mapping[Edge, Rational], c: Rational = 1) -> None:
-    if c == 0:
-        return
-    for e, x in src.items():
-        chain_add(dst, e, c * x)
-
-
 def chain_of_path(p: EdgePath) -> Chain1:
     """Sum the path's steps with signs; backtracking cancels."""
     z: Chain1 = {}

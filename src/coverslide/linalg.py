@@ -2,10 +2,12 @@
 
 Vectors are plain lists and matrices are lists of rows.  Entries are Python
 ints or :class:`fractions.Fraction`; mixed arithmetic stays exact, and integer
-entries stay integers (which keeps the hot paths fast).  Rank is computed by
-sparse integer elimination after clearing denominators row by row: rows are
-kept as dicts of their nonzero entries, so the cost follows the nonzeros
-rather than the matrix size, and there are no tolerances anywhere.
+entries stay integers (which keeps the hot paths fast).  There are no dense
+matrix products: a matrix only ever acts on a vector (:func:`mat_vec`).
+Rank is computed by sparse integer elimination after clearing denominators
+row by row: rows are kept as dicts of their nonzero entries, so the cost
+follows the nonzeros rather than the matrix size, and there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
-def mat_identity(k: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(vec_is_zero(row) for row in a)
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     out = []
     for row in a:
@@ -54,25 +44,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
             if x != 0 and y != 0:
                 acc += x * y
         out.append(acc)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # zero-skipping triple loop; the matrices here are small but often sparse
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai, oi = a[i], out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                y = bk[j]
-                if y != 0:
-                    oi[j] = oi[j] + x * y
     return out
 
 
@@ -119,12 +90,6 @@ def sparse_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
     return len(pivots)
 
 
-def format_rational(x: Rational) -> str:
-    """Render ``3`` or ``-3/4`` with ``str``: an int or a Fraction with
-    denominator 1 never picks up a denominator, and a float keeps its digits."""
-    return str(x)
-
-
 def int_if_integral(x: Rational) -> Rational:
     """An int for an integral int or Fraction; any other Fraction unchanged."""
     return x.numerator if x.denominator == 1 else x
@@ -135,7 +100,6 @@ def parse_rational(s: str) -> Rational:
 
 
 def vector_to_json(v: Sequence) -> list[str]:
-    # format_rational, with the call inlined for speed
     return list(map(str, v))
 
 

@@ -43,7 +43,6 @@ from .cover import CoverGraph, Edge, Word, free_reduce, lift_word, petal_complem
 from .homology import (
     Chain1,
     HomologyBasis,
-    chain_add_scaled,
     chain_of_path,
     chain_to_class,
     class_to_chain,
@@ -209,10 +208,7 @@ def find_slide_loop(
         tested += 1
         if all(x == 0 for x in c):
             continue
-        z: dict = {}
-        for ck, zk in zip(c, B0.cycles):
-            chain_add_scaled(z, zk, ck)
-        if orbit_rank_of_chain(Y, B, z) == order:
+        if orbit_rank_of_chain(Y, B, class_to_chain(B0, c)) == order:
             word = Word()
             for ck, e in zip(c, B0.cotree):
                 if ck != 0:

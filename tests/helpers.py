@@ -5,7 +5,7 @@ from __future__ import annotations
 from coverslide import builtin_group, cycle_basis, group_from_json, make_cover, standard_images, translate_chain
 from coverslide.groups import _greedy_generators
 from coverslide.homology import _sparse_coords
-from coverslide.linalg import sparse_rank
+from coverslide.linalg import sparse_rank, vec_is_zero, vec_sub
 
 BATTERY_FAMILIES = (
     ("trivial", ()),
@@ -89,3 +89,31 @@ def reference_orbit_rank(Y, B, z, elements=None):
     if elements is None:
         elements = Y.group.elements()
     return sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
+
+
+# dense references: the package holds slide actions as sparse columns and
+# never multiplies two matrices, so the tests keep these four of their own
+
+
+def mat_identity(k):
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def mat_sub(a, b):
+    return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
+
+
+def mat_is_zero(a):
+    return all(vec_is_zero(row) for row in a)
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in a]
+    for ai, oi in zip(a, out):
+        for x, bk in zip(ai, b):
+            if x != 0:
+                for j, y in enumerate(bk):
+                    if y != 0:
+                        oi[j] = oi[j] + x * y
+    return out

@@ -37,17 +37,13 @@ from coverslide import (
 )
 from coverslide.homology import chain_to_class
 from coverslide.linalg import (
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_sub,
     mat_vec,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
 
-from helpers import battery_covers, unit_vector
+from helpers import battery_covers, mat_identity, mat_is_zero, mat_mul, mat_sub, unit_vector
 
 
 @contextmanager

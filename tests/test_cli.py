@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import coverslide
-from coverslide import CertificateCheck, builtin_group, cli, group_to_json, mover
+from coverslide import CertificateCheck, builtin_group, cli, mover
 from coverslide.cli import main
+from coverslide.homology import chain_add
 
 
 def run(capsys, *argv):
@@ -100,7 +102,8 @@ def test_build_images_by_label(capsys):
 
 def test_build_group_from_json_file(tmp_path, capsys):
     path = tmp_path / "klein.json"
-    path.write_text(json.dumps(group_to_json(builtin_group("elementary_abelian", 2, 2))))
+    G = builtin_group("elementary_abelian", 2, 2)
+    path.write_text(json.dumps({"order": G.order, "mul": G.mul, "labels": G.labels}))
     code, out, _ = run(capsys, "build", "--group", str(path), "--images", "1,2")
     assert code == 0
     assert out.strip() == "V=4 E=8 rank=5"
@@ -192,6 +195,23 @@ def test_verify_cw_symmetric3_json(capsys):
 def test_verify_cw_trivial(capsys):
     code, _, _ = run(capsys, "verify-cw", "--group", "cyclic:1", "--n", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["move", "--group", "elementary_abelian:2,3", "--n", "3", "--vector-word", "a3.a3"],
+    ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "3"],
+    ["verify-cw", "--group", "symmetric:3", "--n", "3"],
+], ids=["move", "verify-cw", "verify-cw symmetric"])
+def test_human_output_builds_no_json(argv, capsys, monkeypatch):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def no_json(*args):
+        raise RuntimeError("JSON built for human output")
+
+    for name in ("certificate_to_json", "character_report_to_json", "isotypic_report_to_json"):
+        monkeypatch.setattr(cli, name, no_json)
+    assert run(capsys, *argv) == expected
 
 
 # --- move ----------------------------------------------------------------------
@@ -406,6 +426,32 @@ def test_selftest_quick(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "449e02379f302d397993a5bf51f4d9e10e745816974f95bd2aeb707174a00c75"
     )
+
+
+def _with_columns_0_and_1_crossed(columns):
+    """The columns with column 0 picking up e_1 and column 1 picking up e_0:
+    (F - I)^2 is then nonzero."""
+    columns = [dict(col) for col in columns]
+    chain_add(columns[0], 1, 1)
+    chain_add(columns[1], 0, 1)
+    return columns
+
+
+def test_selftest_catches_a_square_that_is_not_zero(capsys, monkeypatch):
+    formula, oracle = cli.lifted_action_formula, cli.lifted_action_oracle
+
+    def crossed_formula(s, Y, B):
+        L = formula(s, Y, B)
+        return dataclasses.replace(L, columns=_with_columns_0_and_1_crossed(L.columns))
+
+    monkeypatch.setattr(cli, "lifted_action_formula", crossed_formula)
+    monkeypatch.setattr(
+        cli, "lifted_action_oracle", lambda s, Y, B: _with_columns_0_and_1_crossed(oracle(s, Y, B))
+    )
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert "FAIL  slides: slide action not unipotent" in out.splitlines()
+    assert "selftest failed: slides" in out
 
 
 def test_selftest_injected_fault(capsys):

@@ -17,7 +17,6 @@ from coverslide import (
     lift_word,
     make_cover,
     path_end,
-    path_is_closed,
     petal_complement_components,
     standard_images,
     subgroup_generated,
@@ -144,7 +143,7 @@ def test_lift_empty_word(mod2_cover):
 def test_lift_a_squared_closed(mod2_cover):
     p = lift_word(mod2_cover, Word.from_string("a1.a1"), 0)
     assert len(p.steps) == 2
-    assert path_is_closed(mod2_cover, p)
+    assert path_end(mod2_cover, p) == p.start
     assert steps_are_connected(mod2_cover, p)
     # it crosses both petal-1 edges once
     assert chain_of_path(p) == {(0, 1): 1, (1, 1): 1}

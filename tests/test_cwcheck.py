@@ -27,9 +27,6 @@ from coverslide import (
 from coverslide.cwcheck import _exponent_two_characters, isotypic_report_to_json
 from coverslide.groups import _greedy_generators
 from coverslide.linalg import (
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
     mat_vec,
     matrix_to_json,
     rank,
@@ -38,7 +35,7 @@ from coverslide.linalg import (
     vec_sub,
 )
 
-from helpers import battery_covers, generating_images, relabeled
+from helpers import battery_covers, generating_images, mat_identity, mat_is_zero, mat_mul, relabeled
 
 
 def lift_class(Y, B, text, start=0):

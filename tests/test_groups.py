@@ -12,7 +12,6 @@ from coverslide import (
     element_order,
     from_mul_table,
     group_from_json,
-    group_to_json,
     left_cosets,
     subgroup_generated,
 )
@@ -200,9 +199,17 @@ def test_element_order_divides_group_order():
             assert G.order % element_order(G, x) == 0
 
 
+def test_symmetric_tables_are_built_once():
+    assert builtin_group("symmetric", 5) is builtin_group("symmetric", 5)
+    assert builtin_group_from_string("symmetric:3") is builtin_group("symmetric", 3)
+    for _ in range(2):  # a refused k is not cached
+        with pytest.raises(UnsupportedFamily):
+            builtin_group_from_string("symmetric:6")
+
+
 def test_group_json_round_trip():
     G = builtin_group("dihedral", 3)
-    data = group_to_json(G)
+    data = {"order": G.order, "mul": [list(row) for row in G.mul], "labels": list(G.labels)}
     H = group_from_json(data)
     assert H.mul == G.mul
     assert H.labels == G.labels

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
 from coverslide.cwcheck import elevation_rank_obstruction
 from coverslide.linalg import (
-    format_rational,
-    mat_mul,
     matrix_to_json,
     parse_rational,
     rank,
     sparse_rank,
     vector_to_json,
 )
+
+from helpers import mat_mul
 
 
 def naive_rank(rows):
@@ -129,7 +129,7 @@ def test_cyclic512_elevation_orbit_rank():
 def test_one_text_for_a_rational():
     values = [0, 3, -3, Fraction(-3, 4), Fraction(6, 2), 0.5, -2.75]
     text = ["0", "3", "-3", "-3/4", "3", "0.5", "-2.75"]
-    assert [format_rational(x) for x in values] == text
+    assert [str(x) for x in values] == text
     assert vector_to_json(values) == text
     assert matrix_to_json([values, values]) == [text, text]
     parsed = [parse_rational(t) for t in text[:5]]

@@ -31,7 +31,7 @@ from coverslide import (
     make_slide,
     move_vector,
     orbit_rank_of_chain,
-    path_is_closed,
+    path_end,
     petal_complement_components,
     slide_increment,
     standard_images,
@@ -113,7 +113,7 @@ def test_loop_word_round_trip():
                 w = fundamental_loop_word(B0, e)
                 assert all(i != j for i, _ in w)
                 p = lift_word(Y, w, 0)
-                assert path_is_closed(Y, p)
+                assert path_end(Y, p) == p.start
                 assert chain_of_path(p) == B0.cycles[k]
 
 

@@ -26,10 +26,10 @@ from coverslide import (
     translate_chain,
 )
 from coverslide import slides
-from coverslide.homology import NotACycle, chain_add_scaled
-from coverslide.linalg import mat_identity, mat_is_zero, mat_mul, mat_sub, mat_vec, vec_sub
+from coverslide.homology import NotACycle, chain_add
+from coverslide.linalg import mat_vec, vec_sub
 
-from helpers import battery_covers
+from helpers import battery_covers, mat_identity, mat_is_zero, mat_mul, mat_sub
 
 words3 = st.builds(
     Word,
@@ -145,7 +145,7 @@ def test_chain_level_formula_on_slid_edges(mod2_cover, mod2_basis):
         w = apply_automorphism(s, Word.generator(1))
         img = chain_of_path(lift_word(Y, w, g))
         expected = dict(translate_chain(Y, g, ell_chain))
-        chain_add_scaled(expected, {(g, 1): 1})
+        chain_add(expected, (g, 1), 1)
         assert img == expected
 
 
