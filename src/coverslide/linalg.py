@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Vectors are plain lists and matrices are lists of rows.  Entries are Python
+Vectors are plain lists and matrices are lists of rows, or, for a square
+matrix with few nonzeros, a list of ``row -> value`` column maps
+(:func:`column_rows`, :func:`columns_to_json`).  Entries are Python
 ints or :class:`fractions.Fraction`; mixed arithmetic stays exact, and integer
 entries stay integers (which keeps the hot paths fast).  There are no dense
 matrix products: a matrix only ever acts on a vector (:func:`mat_vec`).
@@ -49,6 +51,16 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
+
+
+def column_rows(columns: Sequence[Mapping[int, Rational]]) -> list[list[tuple[int, Rational]]]:
+    """The rows of the square matrix whose columns are these ``row -> value``
+    maps: row i's ``(col, value)`` pairs, in column order."""
+    rows: list = [[] for _ in columns]
+    for c, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i].append((c, x))
+    return rows
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -125,5 +137,23 @@ def matrix_to_json(a: Matrix) -> list[list[str]]:
                 line[c] = text
         else:
             line = list(map(str, row))
+        out.append(line)
+    return out
+
+
+def columns_to_json(columns: Sequence[Mapping[int, Rational]]) -> list[list[str]]:
+    """:func:`matrix_to_json` of the square matrix whose columns are these
+    ``row -> value`` maps of ints and Fractions, read from the maps through
+    :func:`column_rows` without building dense rows: the same texts."""
+    r = len(columns)
+    texts: dict[int, str] = {}
+    out = []
+    for row in column_rows(columns):
+        line = ["0"] * r
+        for c, x in row:
+            text = texts.get(id(x))
+            if text is None:
+                text = texts[id(x)] = str(x)
+            line[c] = text
         out.append(line)
     return out

@@ -26,7 +26,9 @@ entry per petal: the formula's :class:`LiftedSlide` (the loop's lifted chain
 and class, the columns and the translate classes), the orbit rank of the
 loop's class and the oracle's columns (kept as the formula's own list once
 they are found equal).  Every check of :func:`verify_certificate` still runs
-on every call, against the certificate's own fields.
+on every call, against the certificate's own fields.  A certificate holds its
+own copy of the formula's columns, which read as dense rows through its
+``matrix``; the verifier and the JSON read the columns themselves.
 """
 
 from __future__ import annotations
@@ -90,14 +92,51 @@ class CertificateFailed(RuntimeError):
         super().__init__(f"certificate failed self-verification: {', '.join(self.failures)}")
 
 
+class _ColumnMatrix:
+    """A read-only square matrix held as its column nonzeros, one ``row ->
+    value`` dict per column, that reads as dense rows: ``len``, iteration and
+    indexing (slices too) give a fresh list per row, and ``==`` compares by
+    value with dense rows or another such matrix."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: list) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self._dense, linalg.column_rows(self.columns))
+
+    def __getitem__(self, i):
+        rows = linalg.column_rows(self.columns)[i]
+        return list(map(self._dense, rows)) if isinstance(i, slice) else self._dense(rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _ColumnMatrix):
+            return self.columns == other.columns
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _dense(self, nonzeros: list) -> list:
+        row = [0] * len(self.columns)
+        for c, x in nonzeros:
+            row[c] = x
+        return row
+
+
 @dataclass
 class MoveCertificate:
     """Everything needed to recheck that the slide moves v on an infinite orbit.
 
-    ``matrix`` is the lifted slide's action as dense rows, the form the
-    ``matrix`` JSON key carries, so that a certificate can be re-checked from
-    its JSON alone; the library itself holds the action as column nonzeros
-    (:attr:`LiftedSlide.columns`) and builds these rows once per move."""
+    ``matrix`` is the lifted slide's action as rows, the form the ``matrix``
+    JSON key carries, so that a certificate can be re-checked from its JSON
+    alone.  :func:`move_vector` puts there a read-only view of dense rows over
+    the certificate's own copy of the formula's column nonzeros
+    (:attr:`LiftedSlide.columns`); replacing ``matrix`` replaces the action."""
 
     petal: int
     pairing_edge: Edge
@@ -268,7 +307,7 @@ def move_vector(
         # the search accepts only full rank; the self-check recomputes it
         orbit_rank_value=Y.group.order,
         increment=increment,
-        matrix=L.matrix,
+        matrix=_ColumnMatrix([dict(col) for col in L.columns]),
         iterates_checked=depth,
     )
     check = verify_certificate(Y, B, v, cert)
@@ -287,12 +326,14 @@ def verify_certificate(
     scalar that is not exactly an int, so not a bool or a float, an ``ell``
     that is not a :class:`Word`, a nonzero that is not an int or a Fraction)
     fails the check that reads it.
-    One pass over the certificate's matrix gives its column nonzeros,
-    compared with the formula's and the oracle's columns (a matrix that is
-    not r lists of r entries fails both), and its row nonzeros for the two
-    row products of :func:`_iterate_failure` on ``den * v`` in ints, as are
-    v's cycle and the increment.  An entry of v that is not an int or a
-    Fraction raises :class:`ValueError`.
+    The certificate's matrix gives its column nonzeros, compared with the
+    formula's and the oracle's columns (a matrix that is not r lists of r
+    entries fails both), and its row nonzeros for the two row products of
+    :func:`_iterate_failure` on ``den * v`` in ints, as are v's cycle and the
+    increment.  The view :func:`move_vector` builds gives its columns as they
+    are and its rows by transposing them; dense rows, as from JSON, are read
+    in one pass by :func:`_matrix_nonzeros`.  An entry of v that is not an
+    int or a Fraction raises :class:`ValueError`.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -317,7 +358,13 @@ def verify_certificate(
         failures.append("property 2")
 
     chain_w = class_to_chain(B, w)
-    columns, rows = _matrix_nonzeros(cert.matrix, r)
+    if type(cert.matrix) is _ColumnMatrix:
+        columns = cert.matrix.columns
+        rows = linalg.column_rows(columns)
+        if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
+            columns = rows = None
+    else:
+        columns, rows = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
     is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(type(x) is int for x in pe)
     if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
@@ -391,9 +438,9 @@ def _unscaled(w: list, den: int) -> list:
 
 
 def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list | None]:
-    """One pass over a certificate matrix: its columns as ``row -> value``
-    maps (None unless it is a list of r lists of r entries), and each row's
-    ``(col, value)`` nonzeros among its first r entries.  Both are None
+    """One pass over a certificate's dense rows: its columns as ``row ->
+    value`` maps (None unless it is a list of r lists of r entries), and each
+    row's ``(col, value)`` nonzeros among its first r entries.  Both are None
     unless the matrix and its rows are lists or tuples whose nonzeros are
     ints or Fractions: an entry equal to 0 is a zero whatever its type, and
     a row whose truthy entries and entries equal to 0 do not add up holds
@@ -421,7 +468,8 @@ def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list | None]:
 
 
 def _row_products(rows: list, w: list) -> list:
-    """``M w`` along the row nonzeros of :func:`_matrix_nonzeros`, as ``mat_vec``."""
+    """``M w`` along row nonzeros, ``(col, value)`` pairs in column order,
+    as ``mat_vec``."""
     out = []
     for row in rows:
         acc = 0
@@ -457,6 +505,11 @@ def _iterate_failure(cert: MoveCertificate, v: list, rows: list, scaled: tuple) 
 
 
 def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> dict:
+    matrix = cert.matrix
+    if type(matrix) is _ColumnMatrix:
+        rendered = linalg.columns_to_json(matrix.columns)
+    else:
+        rendered = linalg.matrix_to_json(matrix)
     data = {
         "petal": cert.petal,
         "pairing_edge": list(cert.pairing_edge),
@@ -464,7 +517,7 @@ def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> d
         "ell_class": linalg.vector_to_json(cert.ell_class),
         "orbit_rank": cert.orbit_rank_value,
         "increment": linalg.vector_to_json(cert.increment),
-        "matrix": linalg.matrix_to_json(cert.matrix),
+        "matrix": rendered,
         "iterates_checked": cert.iterates_checked,
     }
     if Y is not None:

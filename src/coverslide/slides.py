@@ -21,7 +21,8 @@ form ``F^d(w) = w + d * (F(w) - w)``.
 Both routes hold the action as column nonzeros, one ``row -> value`` dict
 per basis cycle: column k differs from ``e_k`` only when the cycle crosses
 petal j, so most columns are a single diagonal 1.  Dense rows are built only
-for output (``LiftedSlide.matrix``, the JSON and the certificate's matrix).
+when ``LiftedSlide.matrix`` is read: the ``matrix`` JSON key is rendered row
+by row from the columns (:func:`linalg.columns_to_json`).
 A :class:`LiftedSlide` is plain data in one basis's coordinates and does not
 hold the basis, so the basis can keep it (``HomologyBasis.slide_memo``).
 """
@@ -220,5 +221,5 @@ def lifted_slide_to_json(L: LiftedSlide) -> dict:
         "petal": L.slide.j,
         "ell": L.slide.ell.to_string(),
         "ell_class": linalg.vector_to_json(L.ell_class),
-        "matrix": linalg.matrix_to_json(L.matrix),
+        "matrix": linalg.columns_to_json(L.columns),
     }

@@ -214,6 +214,25 @@ def test_human_output_builds_no_json(argv, capsys, monkeypatch):
     assert run(capsys, *argv) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["move", "--group", "elementary_abelian:2,3", "--n", "4", "--vector-word", "a3.a3"],
+    ["move", "--group", "symmetric:3", "--n", "3", "--vector-word", "a3", "--json"],
+    ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a2"],
+    ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a2", "--json"],
+], ids=["move", "move --json", "slide", "slide --json"])
+def test_output_builds_no_dense_rows(argv, capsys, monkeypatch):
+    """move and slide print the same text with LiftedSlide.matrix made to
+    raise: the certificate and the matrix key are read from the columns."""
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def dense(self):
+        raise RuntimeError("dense rows built")
+
+    monkeypatch.setattr(coverslide.LiftedSlide, "matrix", property(dense))
+    assert run(capsys, *argv) == expected
+
+
 # --- move ----------------------------------------------------------------------
 
 
@@ -236,6 +255,31 @@ def test_move_klein_basis_vector(tmp_path, capsys):
     cert = json.loads(out_path.read_text())
     assert cert["orbit_rank"] == 4
     assert cert["verified"] is True
+
+
+def test_certificate_rebuilt_from_json_verifies(capsys):
+    """A certificate read back from move --json, with dense rows for its
+    matrix, verifies on a cover and basis rebuilt from the same arguments."""
+    G = builtin_group("symmetric", 3)
+    Y = coverslide.make_cover(G, coverslide.standard_images(G, 3))
+    B = coverslide.cycle_basis(Y)
+    v = ["1/2"] + ["0"] * (B.rank - 2) + ["-3"]
+    code, out, _ = run(capsys, "move", "--group", "symmetric:3", "--n", "3",
+                       "--vector", ",".join(v), "--json")
+    assert code == 0
+    data = json.loads(out)
+    parse = coverslide.linalg.parse_rational
+    cert = coverslide.MoveCertificate(
+        petal=data["petal"],
+        pairing_edge=tuple(data["pairing_edge"]),
+        ell=coverslide.Word.from_string(data["ell"]),
+        ell_class=[parse(x) for x in data["ell_class"]],
+        orbit_rank_value=data["orbit_rank"],
+        increment=[parse(x) for x in data["increment"]],
+        matrix=[[parse(x) for x in row] for row in data["matrix"]],
+        iterates_checked=data["iterates_checked"],
+    )
+    assert coverslide.verify_certificate(Y, B, [parse(x) for x in v], cert).ok
 
 
 def test_move_negative_vector_both_forms(capsys):

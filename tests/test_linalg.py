@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
 from coverslide.cwcheck import elevation_rank_obstruction
 from coverslide.linalg import (
+    column_rows,
+    columns_to_json,
     matrix_to_json,
     parse_rational,
     rank,
@@ -157,3 +159,17 @@ def test_matrix_text_is_str_of_each_entry(rows):
     # ragged and empty rows, rows of ints and Fractions only, and rows mixing
     # in floats, bools, None, an int subclass and strings
     assert matrix_to_json(rows) == [list(map(str, row)) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda r: st.lists(
+    st.dictionaries(st.integers(0, max(r - 1, 0)), EXACT_ENTRIES.filter(bool), max_size=r),
+    min_size=r, max_size=r)))
+def test_column_text_is_the_dense_text(columns):
+    """Square matrices held as column nonzeros render as their dense rows
+    do, and their rows are the transposed nonzeros in column order."""
+    r = len(columns)
+    dense = [[columns[c].get(i, 0) for c in range(r)] for i in range(r)]
+    rows = column_rows(columns)
+    assert rows == [[(c, x) for c, x in enumerate(row) if x] for row in dense]
+    assert columns_to_json(columns) == matrix_to_json(dense)

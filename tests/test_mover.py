@@ -957,3 +957,125 @@ def test_memo_keeps_an_oracle_that_disagrees(klein_n3_cover, monkeypatch):
         assert check.failures == ("matrix vs oracle",)
     with pytest.raises(CertificateFailed, match="matrix vs oracle"):
         move_vector(Y, B, v)
+
+
+# --- the certificate's matrix as column nonzeros -------------------------------------
+
+
+def _variants(cert, v):
+    return _tampered(cert, v) + _more_tampered(cert) + [(n, c) for n, c, _ in _inexact(cert)]
+
+
+def _column_form(cert):
+    """The certificate with its square dense matrix held as column nonzeros."""
+    m = cert.matrix
+    columns = [{i: row[c] for i, row in enumerate(m) if row[c]} for c in range(len(m))]
+    return dataclasses.replace(cert, matrix=mover._ColumnMatrix(columns))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_column_form_checks_and_renders_as_dense_rows(cover, data):
+    """A certificate as move_vector builds it (columns read as rows) and its
+    dense copy get the same CertificateCheck, and so does every tampered,
+    reshaped and inexact copy of each; the JSON bytes are equal and are
+    those of json.dumps."""
+    Y, B, loop_cache = cover
+    v = data.draw(st.lists(rationals, min_size=B.rank, max_size=B.rank))
+    assume(any(v))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    dense = dataclasses.replace(cert, matrix=[list(row) for row in cert.matrix])
+    assert type(cert.matrix) is not list and type(dense.matrix) is list
+    assert cert == dense
+    for (name, c), (_, d) in zip(_variants(cert, v), _variants(dense, v), strict=True):
+        check = verify_certificate(Y, B, v, d)
+        assert verify_certificate(Y, B, v, c) == check, name
+        # the same matrix, dense or as columns, when it is square and exact
+        m = d.matrix
+        if type(m) is list and all(type(row) is list and len(row) == len(m) for row in m):
+            if {type(x) for row in m for x in row} <= {int, Fraction}:
+                assert verify_certificate(Y, B, v, _column_form(d)) == check, name
+    text = _dumps(certificate_to_json(cert, Y))
+    assert text == _dumps(certificate_to_json(dense, Y))
+    assert text == json.dumps(certificate_to_json(cert, Y), indent=2, sort_keys=True)
+
+
+def test_column_form_reads_as_dense_rows(klein_n3_cover, klein_n3_basis):
+    Y, B = klein_n3_cover, klein_n3_basis
+    cert = move_vector(Y, B, unit_vector(B.rank, 0))
+    rows = [list(row) for row in cert.matrix]
+    assert len(cert.matrix) == B.rank == len(rows)
+    assert all(type(row) is list and len(row) == B.rank for row in rows)
+    assert [cert.matrix[i] for i in range(-B.rank, B.rank)] == rows + rows
+    assert cert.matrix[2:5] == rows[2:5] and cert.matrix[::-1] == rows[::-1]
+    with pytest.raises(IndexError):
+        cert.matrix[B.rank]
+    assert cert.matrix == rows and rows == cert.matrix and cert.matrix != rows[:-1]
+    assert cert.matrix != tuple(rows) and cert.matrix != None  # noqa: E711
+    assert repr(cert.matrix) == repr(rows)
+    assert mat_vec(cert.matrix, unit_vector(B.rank, 1)) == mat_vec(rows, unit_vector(B.rank, 1))
+    assert cert.matrix[0] is not cert.matrix[0]
+
+
+def test_column_form_never_reads_lifted_slide_matrix_or_scans_rows(
+    klein_n3_cover, klein_n3_basis, monkeypatch
+):
+    """move_vector, verify_certificate and certificate_to_json on a fresh
+    basis read the columns: neither LiftedSlide.matrix nor the dense scan runs."""
+    Y = klein_n3_cover
+    v = [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3]
+    expected = json.dumps(certificate_to_json(move_vector(Y, klein_n3_basis, v), Y))
+
+    def dense(*args):
+        raise RuntimeError("dense rows built")
+
+    monkeypatch.setattr(mover.LiftedSlide, "matrix", property(dense))
+    monkeypatch.setattr(mover, "_matrix_nonzeros", dense)
+    B = cycle_basis(Y)
+    cert = move_vector(Y, B, v)
+    assert verify_certificate(Y, B, v, cert).ok
+    assert json.dumps(certificate_to_json(cert, Y)) == expected
+
+
+def test_inexact_columns_fail_by_name(klein_n3_cover, klein_n3_basis):
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = unit_vector(B.rank, 0)
+    columns = move_vector(Y, B, v).matrix.columns
+    checks = {"matrix vs formula", "matrix vs oracle", "iterate closed form"}
+    for x in (1.0, True, "1", None):
+        moved = [{**col, **{next(iter(col)): x}} if len(col) > 1 else col for col in columns]
+        bad = dataclasses.replace(move_vector(Y, B, v), matrix=mover._ColumnMatrix(moved))
+        assert checks <= set(verify_certificate(Y, B, v, bad).failures), x
+
+
+def test_replacing_the_matrix_replaces_the_action(klein_n3_cover, klein_n3_basis):
+    """Dense rows put in place of the columns are what is verified: a
+    tampered entry fails both column comparisons."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+    rows = [list(row) for row in cert.matrix]
+    rows[0][0] += 1
+    check = verify_certificate(Y, B, v, dataclasses.replace(cert, matrix=rows))
+    assert {"matrix vs formula", "matrix vs oracle"} <= set(check.failures)
+
+
+def test_editing_a_row_read_from_the_matrix_changes_nothing(klein_n3_cover):
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    v = unit_vector(B.rank, 0)
+    cert = move_vector(Y, B, v)
+    L = B.slide_memo[cert.petal][0]
+    before = [dict(col) for col in L.columns]
+    text = json.dumps(certificate_to_json(cert, Y))
+    for row in (cert.matrix[0], next(iter(cert.matrix)), cert.matrix[:1][0]):
+        row[0] += 1
+        row.append(3)
+    assert verify_certificate(Y, B, v, cert).ok
+    assert L.columns == before and B.slide_memo[cert.petal][0] is L
+    assert json.dumps(certificate_to_json(cert, Y)) == text
+    # the certificate's columns are its own: tampering with them fails that
+    # certificate only
+    cert.matrix.columns[0][0] += 1
+    assert "matrix vs formula" in verify_certificate(Y, B, v, cert).failures
+    assert L.columns == before and verify_certificate(Y, B, v, move_vector(Y, B, v)).ok
