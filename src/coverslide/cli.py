@@ -183,38 +183,67 @@ def _parse_vector(args: argparse.Namespace, Y: CoverGraph, B: HomologyBasis) -> 
     raise ConfigError("a vector is required: --vector or --vector-word")
 
 
-def _dumps(obj, indent: str = "") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
     lists, tuples, str and JSON scalars, without the pure-Python encoder that
-    ``indent`` selects.  A list of strings whose joined text is printable
+    ``indent`` selects.  The pieces of text are appended to one list and
+    joined once at the end.  A list of strings whose joined text is printable
     ASCII without ``"`` or ``\\`` is one join with the quotes in the
     separator, since on such text the C string encoder only adds quotes; any
     other list of strings is one join of that encoder, and scalars go through
-    ``json.dumps``."""
+    ``json.dumps``.  The text of a list of strings is kept under
+    ``(id(list), indent)`` for the rest of the call, so a list that the
+    payload holds many times (the rows of an isotypic projector) is rendered
+    once per depth.  An id names one object only while it lives; the payload
+    keeps every list alive until the call returns."""
+    parts: list[str] = []
+    _dump(obj, "", parts, {})
+    return "".join(parts)
+
+
+def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
+    """Append the text of ``obj`` at ``indent`` to ``parts`` (see ``_dumps``)."""
     if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, dict):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            parts.append("{}")
+            return
         inner = indent + "  "
-        body = (f"{_encode_str(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj))
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
+        lead = "{\n" + inner
+        for key in sorted(obj):
+            parts.append(f"{lead}{_encode_str(key)}: ")
+            _dump(obj[key], inner, parts, memo)
+            lead = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            parts.append("[]")
+            return
+        text = memo.get((id(obj), indent))
+        if text is not None:
+            parts.append(text)
+            return
         inner = indent + "  "
         sep = ",\n" + inner
         try:
             text = "".join(obj)
         except TypeError:  # not a list of strings
-            body = sep.join(_dumps(x, inner) for x in obj)
+            lead = "[\n" + inner
+            for x in obj:
+                parts.append(lead)
+                _dump(x, inner, parts, memo)
+                lead = sep
+            parts.append("\n" + indent + "]")
+            return
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            body = '"' + ('"' + sep + '"').join(obj) + '"'
         else:
-            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                body = '"' + ('"' + sep + '"').join(obj) + '"'
-            else:
-                body = sep.join(map(_encode_str, obj))
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            body = sep.join(map(_encode_str, obj))
+        text = memo[id(obj), indent] = "[\n" + inner + body + "\n" + indent + "]"
+        parts.append(text)
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _write(path: str, text: str) -> None:

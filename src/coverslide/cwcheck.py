@@ -11,7 +11,9 @@ P_chi = (1/|G|) sum chi(g) rho(g).  Since g = g^-1, the row of P_chi at the
 cotree edge (u, i) is chi(u)/|G| * W_i, with W_i[k] = sum_h chi(h) z_k[(h, i)]
 over the basis cycles z_k: n petal rows, read off the cycles' nonzeros,
 give every row, and each dimension is the exact sparse rank of those n
-integer rows.  Only the projectors themselves are dense.
+integer rows.  The report holds each projector as rows in which equal rows
+are one list: 2n distinct rows per character.  The dense projectors are
+built only when first read, and JSON output renders each distinct row once.
 
 Elevations — closed lifts of w^k where k is the order of w's image — and the
 rank obstruction they satisfy are also provided: the preimage of a loop with
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .cover import CoverGraph, Word, commutator_word, lift_word
@@ -65,9 +68,19 @@ def verify_chevalley_weil(Y: CoverGraph, B: HomologyBasis) -> CharacterReport:
 
 @dataclass(frozen=True)
 class IsotypicReport:
+    """``rows`` holds each projector's rows, where equal rows are one list
+    that must not be modified: the row at cotree edge (u, i) is the list for
+    (chi(u), i).  ``projectors`` is built on first read, and JSON output
+    renders each distinct row once."""
+
     characters: tuple  # each character as its +-1 value tuple over all elements
     dims: dict  # character -> dimension of its isotypic component
-    projectors: dict  # character -> averaging projector matrix
+    rows: dict  # character -> projector rows, equal rows shared
+
+    @cached_property
+    def projectors(self) -> dict:
+        """character -> averaging projector matrix"""
+        return {chi: [row[:] for row in rows] for chi, rows in self.rows.items()}
 
 
 def _exponent_two_characters(Y: CoverGraph) -> list[tuple[int, ...]]:
@@ -97,7 +110,7 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
     order, r = Y.group.order, B.rank
     terms = [(k, i, h, c) for k, zk in enumerate(B.cycles) for (h, i), c in zk.items()]
     dims = {}
-    projectors = {}
+    shared_rows = {}
     for chi in chars:
         petal_rows: list[dict] = [{} for _ in range(Y.n + 1)]
         for k, i, h, c in terms:
@@ -114,8 +127,8 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
                 for k, x in row.items():
                     x *= sign
                     line[k] = fractions.get(x) or fractions.setdefault(x, Fraction(x, order))
-        projectors[chi] = [lines[chi[u], i][:] for u, i in B.cotree]
-    return IsotypicReport(characters=tuple(chars), dims=dims, projectors=projectors)
+        shared_rows[chi] = [lines[chi[u], i] for u, i in B.cotree]
+    return IsotypicReport(characters=tuple(chars), dims=dims, rows=shared_rows)
 
 
 def elevation_class(Y: CoverGraph, B: HomologyBasis, w: Word, start: int) -> list:
@@ -188,8 +201,17 @@ def character_report_to_json(report: CharacterReport) -> dict:
 
 
 def isotypic_report_to_json(report: IsotypicReport) -> dict:
+    """The report's JSON payload.  Each distinct row object of a projector is
+    rendered once, and every row that shares it gets the same list of texts;
+    the report keeps its rows alive, so an id names one row throughout."""
+    values: dict[int, str] = {}
+    projectors = []
+    for chi in report.characters:
+        distinct = {id(row): row for row in report.rows[chi]}
+        texts = {key: linalg.row_to_json(row, values) for key, row in distinct.items()}
+        projectors.append([texts[id(row)] for row in report.rows[chi]])
     return {
         "characters": [list(chi) for chi in report.characters],
         "dims": [report.dims[chi] for chi in report.characters],
-        "projectors": [linalg.matrix_to_json(report.projectors[chi]) for chi in report.characters],
+        "projectors": projectors,
     }

@@ -108,7 +108,14 @@ def int_if_integral(x: Rational) -> Rational:
 
 
 def parse_rational(s: str) -> Rational:
-    return int_if_integral(Fraction(s.strip()))
+    """The int or Fraction that ``s`` spells, as ``Fraction(s.strip())``
+    reads it.  An ASCII token ``-?digits`` goes straight to ``int``; every
+    other token, and each error message, is ``Fraction``'s."""
+    s = s.strip()
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isascii() and digits.isdigit():
+        return int(s)
+    return int_if_integral(Fraction(s))
 
 
 def vector_to_json(v: Sequence) -> list[str]:
@@ -118,27 +125,32 @@ def vector_to_json(v: Sequence) -> list[str]:
 def matrix_to_json(a: Matrix) -> list[list[str]]:
     """``str`` of every entry, row by row.
 
-    A row whose entries are all exactly int or Fraction starts as a copy of
-    ``["0"] * len(row)``, and only its nonzeros are rendered (a zero int or
-    Fraction prints as ``0``).  Their texts are shared by object id: the
-    matrix keeps every entry alive, so an id names one value throughout.  Any
-    other row (bool, float, an int subclass, ``None``, str) is
-    ``list(map(str, row))``."""
+    A row whose entries are all exactly int or Fraction goes through
+    :func:`row_to_json`, with one text per entry object for the whole matrix
+    (the matrix keeps every entry alive, so an id names one value
+    throughout).  Any other row (bool, float, an int subclass, ``None``, str)
+    is ``list(map(str, row))``."""
     texts: dict[int, str] = {}
-    out = []
-    for row in a:
-        if set(map(type, row)) <= EXACT_TYPES:
-            line = ["0"] * len(row)
-            for c in compress(range(len(row)), row):
-                x = row[c]
-                text = texts.get(id(x))
-                if text is None:
-                    text = texts[id(x)] = str(x)
-                line[c] = text
-        else:
-            line = list(map(str, row))
-        out.append(line)
-    return out
+    return [
+        row_to_json(row, texts) if set(map(type, row)) <= EXACT_TYPES else list(map(str, row))
+        for row in a
+    ]
+
+
+def row_to_json(row: Sequence[Rational], texts: dict[int, str]) -> list[str]:
+    """``str`` of every entry of a row of ints and Fractions: a copy of
+    ``["0"] * len(row)`` with only its nonzeros rendered (a zero int or
+    Fraction prints as ``0``).  Their texts are shared by object id through
+    ``texts``, so the caller keeps every entry it rendered alive for as long
+    as it uses ``texts``."""
+    line = ["0"] * len(row)
+    for c in compress(range(len(row)), row):
+        x = row[c]
+        text = texts.get(id(x))
+        if text is None:
+            text = texts[id(x)] = str(x)
+        line[c] = text
+    return line
 
 
 def columns_to_json(columns: Sequence[Mapping[int, Rational]]) -> list[list[str]]:

@@ -215,6 +215,26 @@ def test_human_output_builds_no_json(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "3"],
+    ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "3", "--json"],
+    ["verify-cw", "--group", "elementary_abelian:2,4", "--n", "5"],
+    ["verify-cw", "--group", "elementary_abelian:2,4", "--n", "5", "--json"],
+], ids=["(Z/2)^3", "(Z/2)^3 --json", "(Z/2)^4", "(Z/2)^4 --json"])
+def test_verify_cw_builds_no_dense_projectors(argv, capsys, monkeypatch):
+    """verify-cw prints the same text with the dense projectors and
+    matrix_to_json made to raise: the JSON is rendered from the shared rows."""
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def dense(*args):
+        raise RuntimeError("dense projector built")
+
+    monkeypatch.setattr(coverslide.cwcheck.IsotypicReport, "projectors", property(dense))
+    monkeypatch.setattr(coverslide.linalg, "matrix_to_json", dense)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
     ["move", "--group", "elementary_abelian:2,3", "--n", "4", "--vector-word", "a3.a3"],
     ["move", "--group", "symmetric:3", "--n", "3", "--vector-word", "a3", "--json"],
     ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a2"],

@@ -213,6 +213,23 @@ def test_isotypic_matches_dense_accumulation_on_relabeled_tables(k, seed, extra)
         assert {type(x) for row in rows for x in row if x == 0} <= {int}
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 1))
+def test_json_projectors_render_the_dense_projectors(k, seed, extra):
+    rng = random.Random(seed)
+    G = relabeled(builtin_group("elementary_abelian", 2, k), rng)
+    Y = make_cover(G, generating_images(G, rng, extra))
+    B = cycle_basis(Y)
+    iso = isotypic_decomposition(Y, B)
+    data = isotypic_report_to_json(iso)
+    assert "projectors" not in vars(iso)  # the dense matrices are not built
+    assert data["projectors"] == [matrix_to_json(iso.projectors[chi]) for chi in iso.characters]
+    for chi, rendered in zip(iso.characters, data["projectors"]):
+        # at most one row list, and one text list, per sign and petal
+        assert len({id(row) for row in iso.rows[chi]}) <= 2 * Y.n
+        assert len({id(row) for row in rendered}) == len({id(row) for row in iso.rows[chi]})
+
+
 def test_isotypic_unsupported(cyclic3_cover):
     B = cycle_basis(cyclic3_cover)
     with pytest.raises(UnsupportedGroup):

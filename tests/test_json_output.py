@@ -49,6 +49,52 @@ def test_string_lists_match_json_dumps(strings, depth):
     assert cli._dumps(tuple(strings)) == dumps(strings)
 
 
+def test_one_list_at_two_depths_and_many_times_at_one():
+    # the writer keeps a list's text by (id, indent): the same object at two
+    # depths must be indented at each, and repeats reuse the text
+    row = ["1/2", "0", "-3"]
+    obj = {"a": row, "b": [row, [row, row]], "c": [row] * 5, "d": {"e": [[row], row]}}
+    assert cli._dumps(obj) == dumps(obj)
+    rows = [["0", "1"], ["2"]]
+    obj = [rows[i % 2] for i in range(9)]
+    assert cli._dumps(obj) == dumps(obj)
+    assert cli._dumps([obj, obj]) == dumps([obj, obj])
+
+
+def test_tuple_and_list_with_the_same_strings():
+    strings = ["a", "b", "é"]
+    obj = {"l": strings, "t": tuple(strings), "n": [strings, tuple(strings), [tuple(strings)]]}
+    assert cli._dumps(obj) == dumps(obj)
+
+
+def test_escaped_strings_in_a_shared_list():
+    row = ["é", '"', "\\", "\n", "😀", "\x7f", "\x00", "a", ""]
+    obj = {"x": [row, row], "y": row, "z": {"w": [[row], row]}}
+    assert cli._dumps(obj) == dumps(obj)
+
+
+@st.composite
+def aliased_payloads(draw):
+    """Nested dicts and lists whose leaves are drawn from a few string lists
+    and tuples, and from lists of those, so the same objects recur at one
+    depth and at several."""
+    pool = draw(st.lists(st.lists(TEXT, max_size=4) | st.lists(PRINTABLE, min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    pool += [tuple(pool[0]), [pool[-1], pool[0]]]
+    leaves = st.sampled_from(pool) | SCALARS
+    return draw(st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=3),
+        max_leaves=20,
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(aliased_payloads())
+def test_writer_matches_json_dumps_on_shared_lists(obj):
+    assert cli._dumps(obj) == dumps(obj)
+
+
 def test_writer_edge_values():
     for obj in ({}, [], [[]], {"a": {}}, [[], {}], ["x", 1], [1, "x"], {"10": 1, "2": [True, None]}):
         assert cli._dumps(obj) == dumps(obj)

@@ -7,6 +7,7 @@ from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_im
 from coverslide.cwcheck import elevation_rank_obstruction
 from coverslide.linalg import (
     column_rows,
+    int_if_integral,
     columns_to_json,
     matrix_to_json,
     parse_rational,
@@ -137,6 +138,43 @@ def test_one_text_for_a_rational():
     parsed = [parse_rational(t) for t in text[:5]]
     assert parsed == values[:5]
     assert [type(x) for x in parsed] == [int, int, int, Fraction, int]
+
+
+DIGITS = st.text(st.sampled_from("0123456789"), min_size=1, max_size=30)
+# what int() or Fraction() may read differently from a plain -?digits token:
+# signs, underscores, non-ASCII digits, spaces, points and slashes (no
+# exponent: "1e" and 30 digits would build a number of 10**30 digits)
+TOKEN_PARTS = st.sampled_from(["-", "+", "_", " ", "\t", "\n", ".", "/", "x", "٣", "²", "０", "Ⅳ"])
+
+
+def parse_or_error(parse, token):
+    try:
+        x = parse(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(x), x
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(lambda sign, d: sign + d, st.sampled_from(["", "-"]), DIGITS)
+    | st.lists(DIGITS | TOKEN_PARTS, max_size=6).map("".join)
+    | st.text(max_size=8)
+)
+def test_parse_rational_is_fraction_on_every_token(token):
+    # same value and type, or the same exception and message, as the route
+    # through Fraction for every token, also the ones the int fast path skips
+    expected = parse_or_error(lambda t: int_if_integral(Fraction(t.strip())), token)
+    assert parse_or_error(parse_rational, token) == expected
+
+
+def test_parse_rational_fixed_tokens():
+    # int() refuses over 4,300 digits; the message must still be Fraction's
+    tokens = ["7" * 4300, "-" + "7" * 4300, "7" * 4301, "-" + "7" * 4301, " 7" + "0" * 4300,
+              "+3", "1_0", "٣", "3.0", "1/2", "-0", "007", "--3", "-", "", "1e3", "-2E-2", "1/0"]
+    for token in tokens:
+        expected = parse_or_error(lambda t: int_if_integral(Fraction(t.strip())), token)
+        assert parse_or_error(parse_rational, token) == expected
 
 
 class Int(int):
