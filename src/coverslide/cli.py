@@ -97,6 +97,7 @@ EXIT_RANK_TOO_SMALL = 5
 EXIT_SEARCH_EXHAUSTED = 6
 EXIT_OUT_OF_MEMORY = 7
 EXIT_STDOUT_CLOSED = 8
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')  # what JSON leaves unescaped
 
 
 class ConfigError(ValueError):
@@ -236,7 +237,7 @@ def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
                 lead = sep
             parts.append("\n" + indent + "]")
             return
-        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
             body = '"' + ('"' + sep + '"').join(obj) + '"'
         else:
             body = sep.join(map(_encode_str, obj))

@@ -121,7 +121,7 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
         # one Fraction per value, shared by every cell that holds it
         fractions: dict[int, Fraction] = {}
         lines = {}
-        for i, row in enumerate(petal_rows):
+        for i, row in enumerate(petal_rows[1:], 1):  # cotree petals run 1..n
             for sign in (1, -1):
                 line = lines[sign, i] = [0] * r
                 for k, x in row.items():

@@ -63,7 +63,7 @@ from .slides import (
 
 DEFAULT_MAX_CANDIDATES = 10_000
 DEFAULT_ITERATE_DEPTH = 10
-# a range check only: the iterate check costs two row products at any depth
+# a range check only: the iterate check costs two column products at any depth
 MAX_ITERATE_DEPTH = 10_000
 _RANDOM_ROUND = 64
 # keeps the exponents of a late random success, and so the loop word, bounded
@@ -328,12 +328,12 @@ def verify_certificate(
     fails the check that reads it.
     The certificate's matrix gives its column nonzeros, compared with the
     formula's and the oracle's columns (a matrix that is not r lists of r
-    entries fails both), and its row nonzeros for the two row products of
+    entries fails both), and taken by the two column products of
     :func:`_iterate_failure` on ``den * v`` in ints, as are v's cycle and the
-    increment.  The view :func:`move_vector` builds gives its columns as they
-    are and its rows by transposing them; dense rows, as from JSON, are read
-    in one pass by :func:`_matrix_nonzeros`.  An entry of v that is not an
-    int or a Fraction raises :class:`ValueError`.
+    increment (a matrix without r rows fails that check).  The view
+    :func:`move_vector` builds gives its columns as they are; dense rows, as
+    from JSON, are read in one pass by :func:`_matrix_nonzeros`.  An entry
+    of v that is not an int or a Fraction raises :class:`ValueError`.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -359,12 +359,11 @@ def verify_certificate(
 
     chain_w = class_to_chain(B, w)
     if type(cert.matrix) is _ColumnMatrix:
-        columns = cert.matrix.columns
-        rows = linalg.column_rows(columns)
+        columns, square = cert.matrix.columns, True
         if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
-            columns = rows = None
+            columns, square = None, False
     else:
-        columns, rows = _matrix_nonzeros(cert.matrix, r)
+        columns, square = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
     is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(type(x) is int for x in pe)
     if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
@@ -392,11 +391,11 @@ def verify_certificate(
         failures.append("increment nonzero")
 
     if lifted is not None:
-        differs = columns is None or columns != L.columns
+        differs = not square or columns != L.columns
         if differs:
             failures.append("matrix vs formula")
         if oracle is not L.columns:
-            differs = columns is None or columns != oracle
+            differs = not square or columns != oracle
         if differs:
             failures.append("matrix vs oracle")
         if _unscaled(slide_increment(L, chain_w), den) != increment:
@@ -405,8 +404,8 @@ def verify_certificate(
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
-    if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(rows or ()) == r:
-        failure = _iterate_failure(cert, v, rows, scaled)
+    if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(columns or ()) == r:
+        failure = _iterate_failure(cert, v, columns, scaled)
         if failure:
             failures.append(failure)
     else:
@@ -425,81 +424,84 @@ def _exact(x) -> list | None:
 def _scaled(v: list) -> tuple[int, list]:
     """``(den, den * v)`` in ints, den the lcm of v's denominators.  Raises
     ValueError naming the first entry of v that is not an int or a Fraction."""
-    if not set(map(type, v)) <= linalg.EXACT_TYPES:
+    types = set(map(type, v))
+    if not types <= linalg.EXACT_TYPES:
         k, a = next((k, a) for k, a in enumerate(v) if type(a) not in linalg.EXACT_TYPES)
         raise ValueError(f"v[{k}] is a {type(a).__name__}, not an int or a Fraction")
+    if Fraction not in types:
+        return 1, list(v)
     den = lcm(*(a.denominator for a in v))
     return den, [a.numerator * (den // a.denominator) for a in v]
 
 
 def _unscaled(w: list, den: int) -> list:
     """``w / den``, divided at w's nonzeros only, each an int when integral."""
+    if den == 1 and set(map(type, w)) <= {int}:
+        return list(w)
     return [linalg.int_if_integral(Fraction(x, den)) if x else 0 for x in w]
 
 
-def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, list | None]:
+def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, bool]:
     """One pass over a certificate's dense rows: its columns as ``row ->
-    value`` maps (None unless it is a list of r lists of r entries), and each
-    row's ``(col, value)`` nonzeros among its first r entries.  Both are None
-    unless the matrix and its rows are lists or tuples whose nonzeros are
-    ints or Fractions: an entry equal to 0 is a zero whatever its type, and
-    a row whose truthy entries and entries equal to 0 do not add up holds
-    something else, such as None."""
-    if not isinstance(matrix, (list, tuple)):
-        return None, None
-    square = isinstance(matrix, list) and len(matrix) == r
+    value`` maps, read from the first r entries of each row, and whether it
+    is square, a list of r lists of r entries.  The columns are None, and
+    the flag false, unless the matrix has r rows, it and its rows are lists
+    or tuples, and its nonzeros are ints or Fractions: an entry equal to 0 is
+    a zero whatever its type, and a row whose truthy entries and entries
+    equal to 0 do not add up holds something else, such as None."""
+    if not isinstance(matrix, (list, tuple)) or len(matrix) != r:
+        return None, False
+    square = isinstance(matrix, list)
     columns: list[dict] = [{} for _ in range(r)]
-    rows = []
     for i, row in enumerate(matrix):
         if not (isinstance(row, list) and len(row) == r):
             if not isinstance(row, (list, tuple)):
-                return None, None
+                return None, False
             square, row = False, row[:r]
-        nonzeros = [(c, row[c]) for c in compress(range(r), row)]
-        if len(nonzeros) + row.count(0) != len(row):
-            return None, None
-        rows.append(nonzeros)
-        if square:
-            for c, x in nonzeros:
-                columns[c][i] = x
-    if not {type(x) for row in rows for _, x in row} <= linalg.EXACT_TYPES:
-        return None, None
-    return (columns if square else None), rows
+        support = list(compress(range(r), row))
+        if len(support) + row.count(0) != len(row):
+            return None, False
+        for c in support:
+            columns[c][i] = row[c]
+    if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
+        return None, False
+    return columns, square
 
 
-def _row_products(rows: list, w: list) -> list:
-    """``M w`` along row nonzeros, ``(col, value)`` pairs in column order,
-    as ``mat_vec``."""
-    out = []
-    for row in rows:
-        acc = 0
-        for c, x in row:
-            if y := w[c]:
-                acc += x * y
-        out.append(acc)
+def _column_products(columns: list, w: list) -> list:
+    """``M w`` for the r x r matrix with these ``row -> value`` columns, as
+    ``mat_vec``: the sum of ``w[c] * columns[c]`` over w's nonzeros."""
+    out = [0] * len(columns)
+    for col, y in zip(columns, w):
+        if y:
+            for i, x in col.items():
+                out[i] += x * y
     return out
 
 
-def _iterate_failure(cert: MoveCertificate, v: list, rows: list, scaled: tuple) -> str | None:
+def _iterate_failure(cert: MoveCertificate, v: list, columns: list, scaled: tuple) -> str | None:
     """The first failed check (``"iterate closed form"`` or ``"iterates
     distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
-    ``rows`` and D ``iterates_checked``, or None.
+    matrix of the r ``columns`` and D ``iterates_checked``, or None.
 
     ``scaled`` is ``(den, b = den * v)``, and with ``s = den * increment``
-    the check is two row products: by induction ``M^d b = b + d s`` for d in
-    1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and those iterates
-    are distinct iff s != 0.  The increment is read through ``zip``: trimmed
-    to r, failing if short or if an entry is not an int or a Fraction.  v is
-    unread, there for a dense reference check to stand in for this one."""
+    the check is two column products: by induction ``M^d b = b + d s`` for d
+    in 1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and those
+    iterates are distinct iff s != 0.  The increment is read through
+    ``zip``: trimmed to r, failing if short or if an entry is not an int or
+    a Fraction.  v is unread, there for a dense reference check to stand in
+    for this one."""
     den, b = scaled
     step = _exact(cert.increment)
     if step is None:
         return "iterate closed form"
-    # ints, not Fractions with denominator 1: den * Fraction is a Fraction
-    s = [linalg.int_if_integral(den * x) for x in step[: len(b)]]
-    if _row_products(rows, b) != [x + y for x, y in zip(b, s)]:
+    s = step[: len(b)]
+    if den != 1 or not set(map(type, s)) <= {int}:
+        # ints, not Fractions with denominator 1: den * Fraction is a Fraction
+        s = [linalg.int_if_integral(den * x) for x in s]
+    if _column_products(columns, b) != [x + y for x, y in zip(b, s)]:
         return "iterate closed form"
-    if cert.iterates_checked >= 2 and _row_products(rows, s) != s:
+    if cert.iterates_checked >= 2 and _column_products(columns, s) != s:
         return "iterate closed form"
     return None if any(s) else "iterates distinct"
 

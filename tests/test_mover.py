@@ -4,6 +4,7 @@ import json
 import weakref
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,7 +40,7 @@ from coverslide import (
 )
 from coverslide import homology, mover
 from coverslide.cli import _dumps
-from coverslide.linalg import mat_vec, vec_is_zero
+from coverslide.linalg import int_if_integral, mat_vec, parse_rational, vec_is_zero
 
 from helpers import unit_vector
 
@@ -546,27 +547,27 @@ def test_two_products_find_a_failure_at_the_second_step(klein_n3_cover, klein_n3
     the dense loop does."""
     Y, B = klein_n3_cover, klein_n3_basis
     second = _second_step_only(move_vector(Y, B, v), v)
-    rows = mover._matrix_nonzeros(second.matrix, B.rank)[1]
+    columns = mover._matrix_nonzeros(second.matrix, B.rank)[0]
     for depth in (1, 2, 3, mover.MAX_ITERATE_DEPTH):
         c = dataclasses.replace(second, iterates_checked=depth)
-        got = mover._iterate_failure(c, v, rows, mover._scaled(v))
+        got = mover._iterate_failure(c, v, columns, mover._scaled(v))
         assert got == (None if depth == 1 else "iterate closed form"), depth
         assert got == dense_iterate_failure(c, v), depth
 
 
 def test_iterate_check_work_does_not_depend_on_depth(klein_n3_cover, klein_n3_basis, monkeypatch):
-    """A certificate takes one row product at depth 1 and two at any depth >= 2."""
+    """A certificate takes one column product at depth 1 and two at any depth >= 2."""
     Y, B = klein_n3_cover, klein_n3_basis
     v = [0, -2, 0, 0, 3, 0, 0, 0, 1]
     cert = move_vector(Y, B, v)
     calls = []
-    row_products = mover._row_products
+    column_products = mover._column_products
 
-    def counted(rows, w):
-        calls.append(len(rows))
-        return row_products(rows, w)
+    def counted(columns, w):
+        calls.append(len(columns))
+        return column_products(columns, w)
 
-    monkeypatch.setattr(mover, "_row_products", counted)
+    monkeypatch.setattr(mover, "_column_products", counted)
     counts = {}
     for depth in (1, 2, mover.MAX_ITERATE_DEPTH):
         calls.clear()
@@ -615,12 +616,14 @@ def test_integer_route_matches_fraction_route(cover, data):
 # --- matrix checks against the dense comparisons -----------------------------------
 
 
-class DenseComparison:
+class DenseComparison(list):
     """Stands in for the certificate's column maps: ``!=`` against the
     formula's or the oracle's columns is the dense ``!=`` of rows the verifier
-    made before, on the certificate's own matrix."""
+    made before, on the certificate's own matrix; as a list it holds the
+    columns the iterate check reads."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, columns):
+        super().__init__(columns)
         self.matrix = matrix
 
     def __ne__(self, columns):
@@ -628,9 +631,14 @@ class DenseComparison:
 
 
 def dense_matrix_nonzeros(matrix, r):
-    """The former comparisons, and the former iterate rows (truthy entries)."""
+    """The former comparisons, and the former iterate rows (truthy entries
+    among the first r) as columns, none unless there are r rows."""
     rows = [[(c, x) for c, x in enumerate(islice(row, r)) if x] for row in matrix]
-    return DenseComparison(matrix), rows
+    columns = [{} for _ in range(r)] if len(rows) == r else []
+    for i, row in enumerate(rows if columns else ()):
+        for c, x in row:
+            columns[c][i] = x
+    return DenseComparison(matrix, columns), True
 
 
 def _more_tampered(cert):
@@ -1079,3 +1087,105 @@ def test_editing_a_row_read_from_the_matrix_changes_nothing(klein_n3_cover):
     cert.matrix.columns[0][0] += 1
     assert "matrix vs formula" in verify_certificate(Y, B, v, cert).failures
     assert L.columns == before and verify_certificate(Y, B, v, move_vector(Y, B, v)).ok
+
+
+# --- the column-product kernel and the all-int fast paths ---------------------------
+
+
+# ints, Fractions and Fractions with denominator 1, which the fast paths must
+# send down the Fraction route
+exact_entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(-6, 6).map(lambda x: Fraction(x, 1)),
+)
+
+
+def _rebuilt(cert, Y):
+    """The certificate with the dense matrix a reader rebuilds from its JSON."""
+    rows = json.loads(_dumps(certificate_to_json(cert, Y)))["matrix"]
+    return dataclasses.replace(cert, matrix=[[parse_rational(x) for x in row] for row in rows])
+
+
+def _reference_columns(matrix, r):
+    """The columns of the first r entries of each of r dense rows, or None
+    unless there are r rows and every such entry is an int, a Fraction or
+    equal to 0."""
+    if len(matrix) != r:
+        return None
+    rows = [list(islice(row, r)) for row in matrix]
+    if not all(type(x) in (int, Fraction) or x == 0 for row in rows for x in row):
+        return None
+    return [{i: row[c] for i, row in enumerate(rows) if c < len(row) and row[c]} for c in range(r)]
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_column_products_match_the_dense_references(cover, data):
+    """On the certificate, as the view and as dense rows rebuilt from JSON,
+    and on every tampered, reshaped and inexact copy of each: the iterate
+    check gets the columns of the first r entries of r rows, its products are
+    ``mat_vec`` of those rows, and at depths 1, 2 and MAX its verdict is the
+    dense loop's.  A copy whose first two dense steps hold is checked at MAX
+    only when drawn, on about a third of the examples: the dense loop then
+    takes all 10,000 steps."""
+    Y, B, loop_cache = cover
+    r = B.rank
+    v = data.draw(st.lists(exact_entries, min_size=r, max_size=r))
+    assume(any(v))
+    u = data.draw(st.lists(exact_entries, min_size=r, max_size=r))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    scaled = mover._scaled(v)
+    cases = _variants(cert, v) + _variants(_rebuilt(cert, Y), v)
+    deep = data.draw(st.integers(0, 3 * len(cases) - 1))
+    for k, (name, c) in enumerate(cases):
+        if type(c.matrix) is mover._ColumnMatrix:
+            columns = c.matrix.columns
+        else:
+            columns = mover._matrix_nonzeros(c.matrix, r)[0]
+        assert columns == _reference_columns(list(c.matrix), r), name
+        if columns is None:
+            assert "iterate closed form" in verify_certificate(Y, B, v, c).failures, name
+            continue
+        rows = [list(islice(row, r)) for row in c.matrix]
+        step = mover._exact(c.increment)
+        s = [scaled[0] * x for x in step[:r]] if step is not None else []
+        for w in (scaled[1], s, u):
+            if len(w) == r:
+                assert mover._column_products(columns, w) == mat_vec(rows, w), name
+        for depth in (1, 2, mover.MAX_ITERATE_DEPTH):
+            if depth == mover.MAX_ITERATE_DEPTH and want is None and k != deep:
+                continue
+            d = dataclasses.replace(c, iterates_checked=depth)
+            want = "iterate closed form" if step is None else dense_iterate_failure(d, v)
+            assert mover._iterate_failure(d, v, columns, scaled) == want, (name, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exact_entries, max_size=12), st.sampled_from([1, 2, 3, 12]))
+def test_scaled_and_unscaled_match_the_fraction_route(v, den):
+    """``_scaled`` and ``_unscaled`` give the Fraction route's values with its
+    types, with or without a Fraction among the entries."""
+    got_den, got = mover._scaled(v)
+    want_den = lcm(*(Fraction(a).denominator for a in v))
+    want = [(Fraction(a) * want_den).numerator for a in v]
+    assert (got_den, got) == (want_den, want) and got is not v
+    assert type(got_den) is int and all(type(x) is int for x in got)
+    for w, d in ((v, den), (got, got_den)):
+        reference = [int_if_integral(Fraction(x, d)) if x else 0 for x in w]
+        unscaled = mover._unscaled(w, d)
+        assert unscaled == reference and list(map(type, unscaled)) == list(map(type, reference))
+    assert mover._unscaled(got, got_den) == v
+
+
+def test_verifier_never_transposes_the_columns(klein_n3_cover, klein_n3_basis, monkeypatch):
+    """move_vector's self-check and the caller's check take the products
+    from the certificate's columns: the rows are never built."""
+    Y, B = klein_n3_cover, klein_n3_basis
+
+    def transposed(*args):
+        raise RuntimeError("columns transposed")
+
+    monkeypatch.setattr(mover.linalg, "column_rows", transposed)
+    for v in ([0, -2, 0, 0, 3, 0, 0, 0, 1], [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3]):
+        assert verify_certificate(Y, B, v, move_vector(Y, B, v)).ok
