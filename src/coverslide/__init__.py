@@ -5,7 +5,6 @@ provably infinite orbits."""
 from .cover import (
     ComponentSubgraph,
     CoverGraph,
-    CoverSpec,
     Disconnected,
     EdgePath,
     Word,
@@ -37,7 +36,6 @@ from .cwcheck import (
 from .groups import (
     FiniteGroup,
     NotAGroup,
-    Subgroup,
     UnsupportedFamily,
     builtin_group,
     builtin_group_from_string,

@@ -33,11 +33,9 @@ from pathlib import Path
 from . import linalg
 from .cover import (
     CoverGraph,
-    CoverSpec,
     Disconnected,
     Word,
     build_cover,
-    free_reduce,
     lift_word,
     path_end,
     petal_complement_components,
@@ -63,7 +61,6 @@ from .groups import (
 )
 from .homology import (
     HomologyBasis,
-    chain_add,
     chain_of_path,
     chain_to_class,
     cycle_basis,
@@ -76,6 +73,7 @@ from .mover import (
     SearchExhausted,
     ZeroVector,
     certificate_to_json,
+    loop_word,
     move_vector,
     verify_certificate,
 )
@@ -155,7 +153,7 @@ def _cover_from_args(args: argparse.Namespace) -> tuple[CoverGraph, HomologyBasi
     if args.group is None:
         raise ConfigError("--group is required")
     group = _load_group(args.group)
-    Y = build_cover(CoverSpec(group, _resolve_images(group, args.images, args.n)))
+    Y = build_cover(group, _resolve_images(group, args.images, args.n))
     return Y, cycle_basis(Y)
 
 
@@ -385,7 +383,7 @@ def _selftest_covers(quick: bool) -> list[tuple[str, CoverGraph]]:
         images = standard_images(group, n)
         if images is None:
             continue
-        covers.append((f"{spec} n={n}", build_cover(CoverSpec(group, images))))
+        covers.append((f"{spec} n={n}", build_cover(group, images)))
     return covers
 
 
@@ -441,14 +439,7 @@ def _random_slide(Y, B, rng) -> Word | None:
     B0 = component_basis(comps[0])
     if B0.rank == 0:
         return None
-    from .mover import fundamental_loop_word
-
-    word = Word()
-    for e in B0.cotree:
-        c = rng.randint(-1, 1)
-        if c:
-            word = word * (fundamental_loop_word(B0, e) ** c)
-    word = free_reduce(word)
+    word = loop_word(B0, [rng.randint(-1, 1) for _ in B0.cotree])
     return (j, word) if len(word) else None
 
 
@@ -465,17 +456,10 @@ def _suite_slides(covers, rng) -> str:
             L = lifted_action_formula(s, Y, B)
             _check(lifted_action_oracle(s, Y, B) == L.columns, "formula != oracle")
             # (F - I)^2 = 0: each column of F - I, pushed through F - I, vanishes
-            delta = []
-            for k, col in enumerate(L.columns):
-                d = dict(col)
-                chain_add(d, k, -1)
-                delta.append(d)
+            delta = [{**col, k: col.get(k, 0) - 1} for k, col in enumerate(L.columns)]
             for d in delta:
-                square: dict = {}
-                for i, x in d.items():
-                    for r, y in delta[i].items():
-                        chain_add(square, r, x * y)
-                _check(not square, "slide action not unipotent")
+                column = [d.get(i, 0) for i in range(B.rank)]
+                _check(not any(linalg.column_products(delta, column)), "slide action not unipotent")
             checked += 1
     return f"{checked} slides formula==oracle"
 
@@ -484,7 +468,7 @@ def _suite_klein(covers, rng) -> str:
     from .groups import builtin_group
 
     group = builtin_group("elementary_abelian", 2, 2)
-    Y = build_cover(CoverSpec(group, (1, 2)))
+    Y = build_cover(group, (1, 2))
     B = cycle_basis(Y)
     _check(B.rank == 5, "rank 5")
     iso = isotypic_decomposition(Y, B)

@@ -103,8 +103,9 @@ def commutator_word(i: int, j: int) -> Word:
 
 
 @dataclass(frozen=True)
-class CoverSpec:
-    """Rose rank and petal images defining the cover."""
+class CoverGraph:
+    """The cover of the n-petal rose given by the petal images in the group,
+    as a Cayley graph; immutable, incidence computed on demand."""
 
     group: FiniteGroup
     images: tuple[int, ...]
@@ -119,25 +120,6 @@ class CoverSpec:
     @property
     def n(self) -> int:
         return len(self.images)
-
-
-@dataclass(frozen=True)
-class CoverGraph:
-    """The cover as a Cayley graph; immutable, incidence computed on demand."""
-
-    spec: CoverSpec
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.spec.group
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self.spec.images
 
     @property
     def vertex_count(self) -> int:
@@ -177,18 +159,17 @@ class CoverGraph:
         return acc
 
 
-def build_cover(spec: CoverSpec) -> CoverGraph:
+def build_cover(group: FiniteGroup, images: Sequence[int]) -> CoverGraph:
     """Build the cover; rejects images that do not generate the deck group."""
-    generated = subgroup_generated(spec.group, set(spec.images))
-    if len(generated) != spec.group.order:
-        raise Disconnected(
-            f"images generate a subgroup of order {len(generated)} < {spec.group.order}"
-        )
-    return CoverGraph(spec)
+    Y = CoverGraph(group, tuple(images))
+    generated = subgroup_generated(group, Y.images)
+    if len(generated) != group.order:
+        raise Disconnected(f"images generate a subgroup of order {len(generated)} < {group.order}")
+    return Y
 
 
 def make_cover(group: FiniteGroup, images: Sequence[int]) -> CoverGraph:
-    return build_cover(CoverSpec(group, tuple(images)))
+    return build_cover(group, images)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 ASSOCIATIVITY_CHECK_BOUND = 256
 _MAX_BUILTIN_ORDER = 1024
@@ -75,19 +75,6 @@ class FiniteGroup:
                     coset[mul[a][t]], code[mul[a][t]] = len(reps), c
                 reps.append(t)
         return code, coset, reps
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as its sorted member indices."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
 
 
 def from_mul_table(
@@ -356,14 +343,15 @@ def builtin_group_from_string(spec: str) -> FiniteGroup:
     return builtin_group(name, *params)
 
 
-def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subset containing the generators and the identity, closed
-    under multiplication (inverses come for free in a finite group)."""
+def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
+    """The sorted members of the smallest subset containing the generators
+    and the identity, closed under multiplication (inverses come for free in
+    a finite group)."""
     gen_list = sorted(set(gens))
     for g in gen_list:
         if not 0 <= g < group.order:
             raise ValueError(f"generator index {g} out of range")
-    return Subgroup(tuple(sorted(closure(group.mul, gen_list))))
+    return tuple(sorted(closure(group.mul, gen_list)))
 
 
 def closure(
@@ -384,16 +372,17 @@ def closure(
     return members
 
 
-def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, ...]]:
-    """Partition into left cosets gH; the identity's coset comes first and
-    every block is sorted, so block representatives are the minima."""
+def left_cosets(group: FiniteGroup, sub: Sequence[int]) -> list[tuple[int, ...]]:
+    """Partition into left cosets gH of the subgroup with these members; the
+    identity's coset comes first and every block is sorted, so block
+    representatives are the minima."""
     mul = group.mul
     assigned = [False] * group.order
     blocks = []
     for g in range(group.order):
         if assigned[g]:
             continue
-        block = sorted(mul[g][h] for h in sub.members)
+        block = sorted(mul[g][h] for h in sub)
         for x in block:
             assigned[x] = True
         blocks.append(tuple(block))

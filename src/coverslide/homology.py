@@ -185,14 +185,10 @@ def tree_path_steps(B: HomologyBasis, v: int) -> list[tuple[Edge, int]]:
     return steps
 
 
-def _coords(B: HomologyBasis, z: Mapping[Edge, Rational]) -> list:
-    # valid for cycles supported on B's subgraph: a cycle equals the
-    # cotree-coefficient combination of fundamental cycles
-    return [z.get(e, 0) for e in B.cotree]
-
-
 def _sparse_coords(B: HomologyBasis, z: Mapping[Edge, Rational]) -> dict[int, Rational]:
-    # the nonzero entries of _coords(B, z), as cotree index -> coefficient
+    # the nonzero coordinates of a cycle on B's subgraph, as cotree index ->
+    # coefficient: a cycle is the combination of fundamental cycles by its
+    # cotree coefficients
     index = B.cotree_index
     return {index[e]: c for e, c in z.items() if c and e in index}
 
@@ -209,7 +205,7 @@ def chain_to_class(B: HomologyBasis, z: Mapping[Edge, Rational]) -> list:
     bd = chain_boundary(B.cover, z)
     if bd:
         raise NotACycle(min(bd))
-    return _coords(B, z)
+    return [z.get(e, 0) for e in B.cotree]
 
 
 def class_to_chain(B: HomologyBasis, v: Sequence[Rational]) -> Chain1:
@@ -224,10 +220,11 @@ def class_to_chain(B: HomologyBasis, v: Sequence[Rational]) -> Chain1:
     return {e: x for e, x in z.items() if x}
 
 
-def deck_action_matrix(Y: CoverGraph, B: HomologyBasis, g: int) -> list:
-    """Matrix of left translation by g on homology, columns indexed by the
-    basis cycles.  Satisfies rho(e) = I and rho(g)rho(h) = rho(gh)."""
-    return linalg.transpose([_coords(B, translate_chain(Y, g, zk)) for zk in B.cycles])
+def deck_action_matrix(Y: CoverGraph, B: HomologyBasis, g: int) -> linalg.ColumnMatrix:
+    """Matrix of left translation by g on homology: column k holds the
+    coordinates of the translate of basis cycle k.  Satisfies rho(e) = I and
+    rho(g)rho(h) = rho(gh)."""
+    return linalg.ColumnMatrix([_sparse_coords(B, translate_chain(Y, g, zk)) for zk in B.cycles])
 
 
 def character(Y: CoverGraph, B: HomologyBasis, g: int) -> Rational:

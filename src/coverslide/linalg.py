@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Vectors are plain lists and matrices are lists of rows, or, for a square
-matrix with few nonzeros, a list of ``row -> value`` column maps
-(:func:`column_rows`, :func:`columns_to_json`).  Entries are Python
-ints or :class:`fractions.Fraction`; mixed arithmetic stays exact, and integer
-entries stay integers (which keeps the hot paths fast).  There are no dense
-matrix products: a matrix only ever acts on a vector (:func:`mat_vec`).
-Rank is computed by sparse integer elimination after clearing denominators
-row by row: rows are kept as dicts of their nonzero entries, so the cost
-follows the nonzeros rather than the matrix size, and there are no
-tolerances anywhere.
+matrix with few nonzeros, a :class:`ColumnMatrix` of column nonzeros.
+Entries are Python ints or :class:`fractions.Fraction`; mixed arithmetic
+stays exact, and integer entries stay integers (which keeps the hot paths
+fast).  There are no matrix products: a matrix only ever acts on a vector
+(:func:`mat_vec`, :func:`column_products`).  Rank is computed by sparse
+integer elimination after clearing denominators row by row: rows are kept as
+dicts of their nonzero entries, so the cost follows the nonzeros rather than
+the matrix size, and there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 # the types whose arithmetic is exact; a subclass is not one of them
@@ -49,10 +48,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def column_rows(columns: Sequence[Mapping[int, Rational]]) -> list[list[tuple[int, Rational]]]:
     """The rows of the square matrix whose columns are these ``row -> value``
     maps: row i's ``(col, value)`` pairs, in column order."""
@@ -61,6 +56,59 @@ def column_rows(columns: Sequence[Mapping[int, Rational]]) -> list[list[tuple[in
         for i, x in col.items():
             rows[i].append((c, x))
     return rows
+
+
+def column_products(columns: Sequence[Mapping[int, Rational]], w: Sequence) -> Vector:
+    """``M w`` for the r x r matrix with these ``row -> value`` columns, as
+    :func:`mat_vec`: the sum of ``w[c] * columns[c]`` over w's nonzeros."""
+    out = [0] * len(columns)
+    for col, y in zip(columns, w):
+        if y:
+            for i, x in col.items():
+                out[i] += x * y
+    return out
+
+
+class ColumnMatrix:
+    """A read-only square matrix held as its column nonzeros: ``columns[c]``
+    maps row -> nonzero entry of column c, so a column that is a single
+    diagonal 1 costs one dict item.  The deck action ``rho(g)``, a lifted
+    slide's action and a move certificate's matrix are held this way; the
+    products read the columns (:func:`column_products`), and the JSON renders
+    them row by row (:func:`columns_to_json`).
+
+    It reads as dense rows: ``len``, iteration and indexing (slices too) give
+    a fresh list per row, ``==`` compares by value with dense rows or another
+    such matrix, and ``repr`` is that of the rows."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: list) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self._dense, column_rows(self.columns))
+
+    def __getitem__(self, i):
+        rows = column_rows(self.columns)[i]
+        return list(map(self._dense, rows)) if isinstance(i, slice) else self._dense(rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnMatrix):
+            return self.columns == other.columns
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _dense(self, nonzeros: list) -> list:
+        row = [0] * len(self.columns)
+        for c, x in nonzeros:
+            row[c] = x
+        return row
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -26,9 +26,9 @@ entry per petal: the formula's :class:`LiftedSlide` (the loop's lifted chain
 and class, the columns and the translate classes), the orbit rank of the
 loop's class and the oracle's columns (kept as the formula's own list once
 they are found equal).  Every check of :func:`verify_certificate` still runs
-on every call, against the certificate's own fields.  A certificate holds its
-own copy of the formula's columns, which read as dense rows through its
-``matrix``; the verifier and the JSON read the columns themselves.
+on every call, against the certificate's own fields.  A certificate's
+``matrix`` is a :class:`~coverslide.linalg.ColumnMatrix` over its own copy of
+the formula's columns.
 """
 
 from __future__ import annotations
@@ -92,51 +92,15 @@ class CertificateFailed(RuntimeError):
         super().__init__(f"certificate failed self-verification: {', '.join(self.failures)}")
 
 
-class _ColumnMatrix:
-    """A read-only square matrix held as its column nonzeros, one ``row ->
-    value`` dict per column, that reads as dense rows: ``len``, iteration and
-    indexing (slices too) give a fresh list per row, and ``==`` compares by
-    value with dense rows or another such matrix."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: list) -> None:
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __iter__(self) -> Iterator[list]:
-        return map(self._dense, linalg.column_rows(self.columns))
-
-    def __getitem__(self, i):
-        rows = linalg.column_rows(self.columns)[i]
-        return list(map(self._dense, rows)) if isinstance(i, slice) else self._dense(rows)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _ColumnMatrix):
-            return self.columns == other.columns
-        return list(self) == other
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-    def _dense(self, nonzeros: list) -> list:
-        row = [0] * len(self.columns)
-        for c, x in nonzeros:
-            row[c] = x
-        return row
-
-
 @dataclass
 class MoveCertificate:
     """Everything needed to recheck that the slide moves v on an infinite orbit.
 
     ``matrix`` is the lifted slide's action as rows, the form the ``matrix``
     JSON key carries, so that a certificate can be re-checked from its JSON
-    alone.  :func:`move_vector` puts there a read-only view of dense rows over
-    the certificate's own copy of the formula's column nonzeros
-    (:attr:`LiftedSlide.columns`); replacing ``matrix`` replaces the action."""
+    alone.  :func:`move_vector` puts there a
+    :class:`~coverslide.linalg.ColumnMatrix` over the certificate's own copy
+    of the formula's columns; replacing ``matrix`` replaces the action."""
 
     petal: int
     pairing_edge: Edge
@@ -204,6 +168,16 @@ def fundamental_loop_word(B0: HomologyBasis, e: Edge) -> Word:
     return Word(tuple(letters))
 
 
+def loop_word(B0: HomologyBasis, coefficients: Sequence[int]) -> Word:
+    """The freely reduced product of the fundamental loop words of B0's
+    cotree edges, each to the power of its coefficient, in cotree order."""
+    word = Word()
+    for c, e in zip(coefficients, B0.cotree):
+        if c != 0:
+            word = word * (fundamental_loop_word(B0, e) ** c)
+    return free_reduce(word)
+
+
 def _candidate_vectors(m: int, seed: int) -> Iterator[tuple[int, ...]]:
     # deterministic prefix: unit vectors, then 0/1 supports of weight 2 and 3
     for k in range(m):
@@ -248,11 +222,7 @@ def find_slide_loop(
         if all(x == 0 for x in c):
             continue
         if orbit_rank_of_chain(Y, B, class_to_chain(B0, c)) == order:
-            word = Word()
-            for ck, e in zip(c, B0.cotree):
-                if ck != 0:
-                    word = word * (fundamental_loop_word(B0, e) ** ck)
-            word = free_reduce(word)
+            word = loop_word(B0, c)
             if Y.image_of(word) != 0:
                 raise CertificateFailed(["property 2"])
             return word
@@ -307,7 +277,7 @@ def move_vector(
         # the search accepts only full rank; the self-check recomputes it
         orbit_rank_value=Y.group.order,
         increment=increment,
-        matrix=_ColumnMatrix([dict(col) for col in L.columns]),
+        matrix=linalg.ColumnMatrix([dict(col) for col in L.columns]),
         iterates_checked=depth,
     )
     check = verify_certificate(Y, B, v, cert)
@@ -329,11 +299,13 @@ def verify_certificate(
     The certificate's matrix gives its column nonzeros, compared with the
     formula's and the oracle's columns (a matrix that is not r lists of r
     entries fails both), and taken by the two column products of
-    :func:`_iterate_failure` on ``den * v`` in ints, as are v's cycle and the
-    increment (a matrix without r rows fails that check).  The view
-    :func:`move_vector` builds gives its columns as they are; dense rows, as
-    from JSON, are read in one pass by :func:`_matrix_nonzeros`.  An entry
-    of v that is not an int or a Fraction raises :class:`ValueError`.
+    :func:`_iterate_failure` on ``den * v`` in ints, as is v's cycle (a
+    matrix without r rows fails that check).  The increment is scaled once,
+    to ``den * increment``, which both the consistency and the iterate checks
+    read.  A :class:`~coverslide.linalg.ColumnMatrix` gives its columns as
+    they are; dense rows, as from JSON, are read in one pass by
+    :func:`_matrix_nonzeros`.  An entry of v that is not an int or a Fraction
+    raises :class:`ValueError`.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
@@ -346,7 +318,7 @@ def verify_certificate(
     r = B.rank
     j = cert.petal
     v = list(v)
-    den, w = scaled = _scaled(v)
+    den, w = _scaled(v)
     ell, is_word = cert.ell, isinstance(cert.ell, Word)
 
     property1 = type(j) is int and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
@@ -358,7 +330,7 @@ def verify_certificate(
         failures.append("property 2")
 
     chain_w = class_to_chain(B, w)
-    if type(cert.matrix) is _ColumnMatrix:
+    if type(cert.matrix) is linalg.ColumnMatrix:
         columns, square = cert.matrix.columns, True
         if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
             columns, square = None, False
@@ -386,9 +358,13 @@ def verify_certificate(
     else:
         failures.append("property 3")
 
-    increment = _exact(cert.increment)
+    increment = s = _exact(cert.increment)
     if increment is None or linalg.vec_is_zero(increment):
         failures.append("increment nonzero")
+    if s is not None and (den != 1 or not set(map(type, s)) <= {int}):
+        # s = den * increment, each entry an int when integral, as
+        # slide_increment gives it on den * v
+        s = [linalg.int_if_integral(den * x) for x in s]
 
     if lifted is not None:
         differs = not square or columns != L.columns
@@ -398,14 +374,14 @@ def verify_certificate(
             differs = not square or columns != oracle
         if differs:
             failures.append("matrix vs oracle")
-        if _unscaled(slide_increment(L, chain_w), den) != increment:
+        if slide_increment(L, chain_w) != s:
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
     if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(columns or ()) == r:
-        failure = _iterate_failure(cert, v, columns, scaled)
+        failure = _iterate_failure(cert, v, columns, w, s)
         if failure:
             failures.append(failure)
     else:
@@ -468,47 +444,32 @@ def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, bool]:
     return columns, square
 
 
-def _column_products(columns: list, w: list) -> list:
-    """``M w`` for the r x r matrix with these ``row -> value`` columns, as
-    ``mat_vec``: the sum of ``w[c] * columns[c]`` over w's nonzeros."""
-    out = [0] * len(columns)
-    for col, y in zip(columns, w):
-        if y:
-            for i, x in col.items():
-                out[i] += x * y
-    return out
-
-
-def _iterate_failure(cert: MoveCertificate, v: list, columns: list, scaled: tuple) -> str | None:
+def _iterate_failure(
+    cert: MoveCertificate, v: list, columns: list, b: list, s: list | None
+) -> str | None:
     """The first failed check (``"iterate closed form"`` or ``"iterates
     distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
     matrix of the r ``columns`` and D ``iterates_checked``, or None.
 
-    ``scaled`` is ``(den, b = den * v)``, and with ``s = den * increment``
-    the check is two column products: by induction ``M^d b = b + d s`` for d
-    in 1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and those
-    iterates are distinct iff s != 0.  The increment is read through
-    ``zip``: trimmed to r, failing if short or if an entry is not an int or
-    a Fraction.  v is unread, there for a dense reference check to stand in
-    for this one."""
-    den, b = scaled
-    step = _exact(cert.increment)
-    if step is None:
+    ``b`` is ``den * v`` and ``s`` is ``den * increment``, or None when the
+    increment is not a list of ints and Fractions.  By induction ``M^d b = b +
+    d s`` for d in 1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and
+    those iterates are distinct iff s != 0: two column products.  s is read
+    through ``zip``, trimmed to r and failing if short.  v is unread, there
+    for a dense reference check to stand in for this one."""
+    if s is None:
         return "iterate closed form"
-    s = step[: len(b)]
-    if den != 1 or not set(map(type, s)) <= {int}:
-        # ints, not Fractions with denominator 1: den * Fraction is a Fraction
-        s = [linalg.int_if_integral(den * x) for x in s]
-    if _column_products(columns, b) != [x + y for x, y in zip(b, s)]:
+    s = s[: len(b)]
+    if linalg.column_products(columns, b) != [x + y for x, y in zip(b, s)]:
         return "iterate closed form"
-    if cert.iterates_checked >= 2 and _column_products(columns, s) != s:
+    if cert.iterates_checked >= 2 and linalg.column_products(columns, s) != s:
         return "iterate closed form"
     return None if any(s) else "iterates distinct"
 
 
 def certificate_to_json(cert: MoveCertificate, Y: CoverGraph | None = None) -> dict:
     matrix = cert.matrix
-    if type(matrix) is _ColumnMatrix:
+    if type(matrix) is linalg.ColumnMatrix:
         rendered = linalg.columns_to_json(matrix.columns)
     else:
         rendered = linalg.matrix_to_json(matrix)

@@ -18,11 +18,10 @@ Because ``ell`` avoids petal j, no translate of ``ell~`` meets a petal-j
 edge, so the difference F - I squares to zero and iterates follow the closed
 form ``F^d(w) = w + d * (F(w) - w)``.
 
-Both routes hold the action as column nonzeros, one ``row -> value`` dict
-per basis cycle: column k differs from ``e_k`` only when the cycle crosses
-petal j, so most columns are a single diagonal 1.  Dense rows are built only
-when ``LiftedSlide.matrix`` is read: the ``matrix`` JSON key is rendered row
-by row from the columns (:func:`linalg.columns_to_json`).
+Both routes give the action as the columns of a
+:class:`~coverslide.linalg.ColumnMatrix`, one per basis cycle: column k
+differs from ``e_k`` only when the cycle crosses petal j, so most columns
+are a single diagonal 1.
 A :class:`LiftedSlide` is plain data in one basis's coordinates and does not
 hold the basis, so the basis can keep it (``HomologyBasis.slide_memo``).
 """
@@ -105,10 +104,11 @@ class LiftedSlide:
     of one basis.
 
     ``columns[k]`` maps row -> nonzero entry of the image of basis cycle k;
-    ``matrix`` builds the dense rows from it.  ``translate_classes`` maps each
-    vertex g at which a basis cycle crosses petal j to the nonzero coordinates
-    of [g . ell~]; a class's canonical cycle is a combination of basis cycles,
-    so it crosses petal j at no other vertex."""
+    ``matrix`` is the :class:`~coverslide.linalg.ColumnMatrix` over them.
+    ``translate_classes`` maps each vertex g at which a basis cycle crosses
+    petal j to the nonzero coordinates of [g . ell~]; a class's canonical
+    cycle is a combination of basis cycles, so it crosses petal j at no other
+    vertex."""
 
     slide: SlideAutomorphism
     cover: CoverGraph
@@ -118,14 +118,8 @@ class LiftedSlide:
     translate_classes: dict
 
     @property
-    def matrix(self) -> list:
-        """The action as dense rows, built from ``columns`` on each access."""
-        r = len(self.columns)
-        rows = [[0] * r for _ in range(r)]
-        for k, col in enumerate(self.columns):
-            for i, x in col.items():
-                rows[i][k] = x
-        return rows
+    def matrix(self) -> linalg.ColumnMatrix:
+        return linalg.ColumnMatrix(self.columns)
 
 
 def _lift_chain_or_raise(s: SlideAutomorphism, Y: CoverGraph) -> Chain1:

@@ -91,6 +91,13 @@ def reference_orbit_rank(Y, B, z, elements=None):
     return sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
 
 
+def reference_deck_action_matrix(Y, B, g):
+    """The deck action of g as dense rows: the transpose of the rows of the
+    translates' cotree coordinates, one row per basis cycle."""
+    translates = [[translate_chain(Y, g, zk).get(e, 0) for e in B.cotree] for zk in B.cycles]
+    return [list(col) for col in zip(*translates)]
+
+
 # dense references: the package holds slide actions as sparse columns and
 # never multiplies two matrices, so the tests keep these four of their own
 

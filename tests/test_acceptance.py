@@ -216,7 +216,7 @@ def test_criterion_6_component_claims():
 
                 ell = find_slide_loop(Y, B, j)
                 chain = chain_of_path(lift_word(Y, ell, 0))
-                assert orbit_rank_of_chain(Y, B0, chain, elements=G0.members) == len(G0), (name, j)
+                assert orbit_rank_of_chain(Y, B0, chain, elements=G0) == len(G0), (name, j)
                 assert orbit_rank_of_chain(Y, B, chain) == Y.group.order, (name, j)
 
 

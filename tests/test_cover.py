@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverslide import (
-    CoverSpec,
+    CoverGraph,
     Disconnected,
     EdgePath,
     Word,
@@ -123,12 +123,17 @@ def test_cyclic3_loops(cyclic3_cover):
 def test_disconnected_rejected():
     G = builtin_group("cyclic", 3)
     with pytest.raises(Disconnected):
-        build_cover(CoverSpec(G, (0, 0)))
+        build_cover(G, (0, 0))
+
+
+def test_cover_rejects_an_image_out_of_range():
+    with pytest.raises(ValueError, match="petal image 2 out of range"):
+        CoverGraph(builtin_group("cyclic", 2), (1, 2))
 
 
 def test_spec_needs_two_petals():
-    with pytest.raises(ValueError):
-        CoverSpec(builtin_group("cyclic", 2), (1,))
+    with pytest.raises(ValueError, match="at least 2 petals"):
+        CoverGraph(builtin_group("cyclic", 2), (1,))
 
 
 # --- lifting --------------------------------------------------------------

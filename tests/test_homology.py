@@ -38,7 +38,15 @@ from coverslide.linalg import (
 
 from coverslide.homology import chain_add, tree_path_steps
 
-from helpers import battery_covers, generating_images, mat_identity, mat_mul, reference_orbit_rank, relabeled
+from helpers import (
+    battery_covers,
+    generating_images,
+    mat_identity,
+    mat_mul,
+    reference_deck_action_matrix,
+    reference_orbit_rank,
+    relabeled,
+)
 
 
 def lift_class(Y, B, text, start=0):
@@ -129,6 +137,22 @@ def test_deck_homomorphism_klein(mod2_cover, mod2_basis):
     for g in range(4):
         for h in range(4):
             assert mat_mul(rho[g], rho[h]) == rho[Y.group.mul[g][h]]
+
+
+def test_deck_action_matches_the_dense_transpose():
+    """On the whole cover's basis and on every petal-complement component's,
+    the columns of rho(g) read as the dense transpose of the translates'
+    coordinates, for every g."""
+    for name, Y, B in battery_covers((2, 3)):
+        bases = [B]
+        for j in range(1, Y.n + 1):
+            bases += map(component_basis, petal_complement_components(Y, j))
+        for basis in bases:
+            for g in Y.group.elements():
+                m = deck_action_matrix(Y, basis, g)
+                want = reference_deck_action_matrix(Y, basis, g)
+                assert m == want and list(m) == want, (name, g)
+                assert all(x != 0 for col in m.columns for x in col.values()), (name, g)
 
 
 def test_deck_matrices_invertible_battery():

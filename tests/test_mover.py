@@ -23,6 +23,7 @@ from coverslide import (
     class_to_chain,
     component_basis,
     cycle_basis,
+    deck_action_matrix,
     find_pairing_edge,
     find_slide_loop,
     fundamental_loop_word,
@@ -38,9 +39,9 @@ from coverslide import (
     standard_images,
     verify_certificate,
 )
-from coverslide import homology, mover
+from coverslide import homology, linalg, mover
 from coverslide.cli import _dumps
-from coverslide.linalg import int_if_integral, mat_vec, parse_rational, vec_is_zero
+from coverslide.linalg import ColumnMatrix, int_if_integral, mat_vec, parse_rational, vec_is_zero
 
 from helpers import unit_vector
 
@@ -548,9 +549,11 @@ def test_two_products_find_a_failure_at_the_second_step(klein_n3_cover, klein_n3
     Y, B = klein_n3_cover, klein_n3_basis
     second = _second_step_only(move_vector(Y, B, v), v)
     columns = mover._matrix_nonzeros(second.matrix, B.rank)[0]
+    den, b = mover._scaled(v)
+    s = [den * x for x in second.increment]
     for depth in (1, 2, 3, mover.MAX_ITERATE_DEPTH):
         c = dataclasses.replace(second, iterates_checked=depth)
-        got = mover._iterate_failure(c, v, columns, mover._scaled(v))
+        got = mover._iterate_failure(c, v, columns, b, s)
         assert got == (None if depth == 1 else "iterate closed form"), depth
         assert got == dense_iterate_failure(c, v), depth
 
@@ -561,13 +564,13 @@ def test_iterate_check_work_does_not_depend_on_depth(klein_n3_cover, klein_n3_ba
     v = [0, -2, 0, 0, 3, 0, 0, 0, 1]
     cert = move_vector(Y, B, v)
     calls = []
-    column_products = mover._column_products
+    column_products = linalg.column_products
 
     def counted(columns, w):
         calls.append(len(columns))
         return column_products(columns, w)
 
-    monkeypatch.setattr(mover, "_column_products", counted)
+    monkeypatch.setattr(linalg, "column_products", counted)
     counts = {}
     for depth in (1, 2, mover.MAX_ITERATE_DEPTH):
         calls.clear()
@@ -978,7 +981,7 @@ def _column_form(cert):
     """The certificate with its square dense matrix held as column nonzeros."""
     m = cert.matrix
     columns = [{i: row[c] for i, row in enumerate(m) if row[c]} for c in range(len(m))]
-    return dataclasses.replace(cert, matrix=mover._ColumnMatrix(columns))
+    return dataclasses.replace(cert, matrix=ColumnMatrix(columns))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1008,21 +1011,43 @@ def test_column_form_checks_and_renders_as_dense_rows(cover, data):
     assert text == json.dumps(certificate_to_json(cert, Y), indent=2, sort_keys=True)
 
 
-def test_column_form_reads_as_dense_rows(klein_n3_cover, klein_n3_basis):
-    Y, B = klein_n3_cover, klein_n3_basis
+def _certificate_matrix(Y, B):
+    return move_vector(Y, B, unit_vector(B.rank, 0)).matrix
+
+
+def _lifted_slide_matrix(Y, B):
     cert = move_vector(Y, B, unit_vector(B.rank, 0))
-    rows = [list(row) for row in cert.matrix]
-    assert len(cert.matrix) == B.rank == len(rows)
+    return lifted_action_formula(make_slide(Y.n, cert.petal, cert.ell), Y, B).matrix
+
+
+def _deck_action(Y, B):
+    return deck_action_matrix(Y, B, 3)
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [_certificate_matrix, _lifted_slide_matrix, _deck_action],
+    ids=["certificate", "lifted slide", "deck action"],
+)
+def test_column_form_reads_as_dense_rows(klein_n3_cover, klein_n3_basis, produce):
+    """The certificate's matrix, a lifted slide's and the deck action are
+    column matrices that read as dense rows."""
+    Y, B = klein_n3_cover, klein_n3_basis
+    m = produce(Y, B)
+    assert type(m) is ColumnMatrix
+    rows = [list(row) for row in m]
+    assert rows == [[col.get(i, 0) for col in m.columns] for i in range(B.rank)]
+    assert len(m) == B.rank == len(rows)
     assert all(type(row) is list and len(row) == B.rank for row in rows)
-    assert [cert.matrix[i] for i in range(-B.rank, B.rank)] == rows + rows
-    assert cert.matrix[2:5] == rows[2:5] and cert.matrix[::-1] == rows[::-1]
+    assert [m[i] for i in range(-B.rank, B.rank)] == rows + rows
+    assert m[2:5] == rows[2:5] and m[::-1] == rows[::-1]
     with pytest.raises(IndexError):
-        cert.matrix[B.rank]
-    assert cert.matrix == rows and rows == cert.matrix and cert.matrix != rows[:-1]
-    assert cert.matrix != tuple(rows) and cert.matrix != None  # noqa: E711
-    assert repr(cert.matrix) == repr(rows)
-    assert mat_vec(cert.matrix, unit_vector(B.rank, 1)) == mat_vec(rows, unit_vector(B.rank, 1))
-    assert cert.matrix[0] is not cert.matrix[0]
+        m[B.rank]
+    assert m == rows and rows == m and m != rows[:-1]
+    assert m != tuple(rows) and m != None  # noqa: E711
+    assert repr(m) == repr(rows)
+    assert mat_vec(m, unit_vector(B.rank, 1)) == mat_vec(rows, unit_vector(B.rank, 1))
+    assert m[0] is not m[0]
 
 
 def test_column_form_never_reads_lifted_slide_matrix_or_scans_rows(
@@ -1052,7 +1077,7 @@ def test_inexact_columns_fail_by_name(klein_n3_cover, klein_n3_basis):
     checks = {"matrix vs formula", "matrix vs oracle", "iterate closed form"}
     for x in (1.0, True, "1", None):
         moved = [{**col, **{next(iter(col)): x}} if len(col) > 1 else col for col in columns]
-        bad = dataclasses.replace(move_vector(Y, B, v), matrix=mover._ColumnMatrix(moved))
+        bad = dataclasses.replace(move_vector(Y, B, v), matrix=ColumnMatrix(moved))
         assert checks <= set(verify_certificate(Y, B, v, bad).failures), x
 
 
@@ -1139,7 +1164,7 @@ def test_column_products_match_the_dense_references(cover, data):
     cases = _variants(cert, v) + _variants(_rebuilt(cert, Y), v)
     deep = data.draw(st.integers(0, 3 * len(cases) - 1))
     for k, (name, c) in enumerate(cases):
-        if type(c.matrix) is mover._ColumnMatrix:
+        if type(c.matrix) is ColumnMatrix:
             columns = c.matrix.columns
         else:
             columns = mover._matrix_nonzeros(c.matrix, r)[0]
@@ -1149,16 +1174,16 @@ def test_column_products_match_the_dense_references(cover, data):
             continue
         rows = [list(islice(row, r)) for row in c.matrix]
         step = mover._exact(c.increment)
-        s = [scaled[0] * x for x in step[:r]] if step is not None else []
-        for w in (scaled[1], s, u):
+        s = [scaled[0] * x for x in step] if step is not None else None
+        for w in (scaled[1], (s or [])[:r], u):
             if len(w) == r:
-                assert mover._column_products(columns, w) == mat_vec(rows, w), name
+                assert linalg.column_products(columns, w) == mat_vec(rows, w), name
         for depth in (1, 2, mover.MAX_ITERATE_DEPTH):
             if depth == mover.MAX_ITERATE_DEPTH and want is None and k != deep:
                 continue
             d = dataclasses.replace(c, iterates_checked=depth)
             want = "iterate closed form" if step is None else dense_iterate_failure(d, v)
-            assert mover._iterate_failure(d, v, columns, scaled) == want, (name, depth)
+            assert mover._iterate_failure(d, v, columns, scaled[1], s) == want, (name, depth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1176,6 +1201,44 @@ def test_scaled_and_unscaled_match_the_fraction_route(v, den):
         unscaled = mover._unscaled(w, d)
         assert unscaled == reference and list(map(type, unscaled)) == list(map(type, reference))
     assert mover._unscaled(got, got_den) == v
+
+
+def _tampered_increments(increment, k):
+    """The increment, and copies scaled by 2, with an entry added, with entry
+    k dropped, with entry k put to 1/7 and to an integral Fraction 2/1, and
+    with every entry an integral-or-not Fraction of the same value."""
+    def put(x):
+        return increment[:k] + [x] + increment[k + 1 :]
+
+    return [
+        ("as built", increment),
+        ("scaled by 2", [2 * x for x in increment]),
+        ("entry added", increment + [0]),
+        ("entry dropped", increment[:k] + increment[k + 1 :]),
+        ("1/7", put(Fraction(1, 7))),
+        ("2/1", put(Fraction(2, 1))),
+        ("as Fractions", [Fraction(x) for x in increment]),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_increment_consistency_matches_the_unscaled_comparison(cover, data):
+    """"increment consistent" fails exactly when the increment differs from
+    ``slide_increment`` on ``den * v`` divided by den, for int and p/q
+    vectors and tampered increments: comparing ``den * increment`` with the
+    undivided increment gives the same verdicts."""
+    Y, B, loop_cache = cover
+    v = data.draw(st.lists(exact_entries, min_size=B.rank, max_size=B.rank))
+    assume(any(v))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    den, w = mover._scaled(v)
+    L = B.slide_memo[cert.petal][0]
+    expected = mover._unscaled(slide_increment(L, class_to_chain(B, w)), den)
+    k = data.draw(st.integers(0, B.rank - 1))
+    for name, increment in _tampered_increments(list(cert.increment), k):
+        check = verify_certificate(Y, B, v, dataclasses.replace(cert, increment=increment))
+        assert ("increment consistent" in check.failures) == (expected != increment), name
 
 
 def test_verifier_never_transposes_the_columns(klein_n3_cover, klein_n3_basis, monkeypatch):
