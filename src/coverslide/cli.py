@@ -22,6 +22,7 @@ stopped reading).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -186,12 +187,13 @@ def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
     lists, tuples, str and JSON scalars, without the pure-Python encoder that
     ``indent`` selects.  The pieces of text are appended to one list and
-    joined once at the end.  A list of strings whose joined text is printable
-    ASCII without ``"`` or ``\\`` is one join with the quotes in the
-    separator, since on such text the C string encoder only adds quotes; any
-    other list of strings is one join of that encoder, and scalars go through
-    ``json.dumps``.  The text of a list of strings is kept under
-    ``(id(list), indent)`` for the rest of the call, so a list that the
+    joined once at the end.  A list is first tried as one join with the
+    quotes in the separator, which fails on an item that is not a string.
+    That text is kept when the items add no character the C string encoder
+    escapes (see ``_dump``), since on such items the encoder only adds
+    quotes; any other list of strings is one join of that encoder, and
+    scalars go through ``json.dumps``.  The text of a list of strings is
+    kept under ``(id(list), indent)`` for the rest of the call, so a list that the
     payload holds many times (the rows of an isotypic projector) is rendered
     once per depth.  An id names one object only while it lives; the payload
     keeps every list alive until the call returns."""
@@ -226,7 +228,7 @@ def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
         inner = indent + "  "
         sep = ",\n" + inner
         try:
-            text = "".join(obj)
+            body = '"' + ('"' + sep + '"').join(obj) + '"'
         except TypeError:  # not a list of strings
             lead = "[\n" + inner
             for x in obj:
@@ -235,9 +237,10 @@ def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
                 lead = sep
             parts.append("\n" + indent + "]")
             return
-        if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
-            body = '"' + ('"' + sep + '"').join(obj) + '"'
-        else:
+        # the bytes that are not plain are the separators' 3k - 1 quotes and
+        # newlines (sep is ",\n" and spaces), plus those of every character
+        # of the items that the encoder escapes, non-ASCII ones included
+        if len(body.encode().translate(None, _PLAIN)) != 3 * len(obj) - 1:
             body = sep.join(map(_encode_str, obj))
         text = memo[id(obj), indent] = "[\n" + inner + body + "\n" + indent + "]"
         parts.append(text)
@@ -556,11 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a cover and print its size and H1 rank")
     _add_cover_options(p)
     p.add_argument("--dot", help="write a GraphViz DOT file of the cover")
-    p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify-cw", help="verify the regular-representation character identity")
     _add_cover_options(p)
-    p.set_defaults(fn=cmd_verify_cw)
 
     p = sub.add_parser("move", help="produce and verify a class-moving certificate")
     _add_cover_options(p)
@@ -570,19 +571,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-candidates", type=int, default=10_000, help="loop search bound")
     p.add_argument("--depth", type=int, default=10, help=f"iterates checked in the certificate (1..{MAX_ITERATE_DEPTH})")
     p.add_argument("--out", help="write the certificate JSON to a file")
-    p.set_defaults(fn=cmd_move)
 
     p = sub.add_parser("slide", help="apply a given edge slide and print its lifted matrix")
     _add_cover_options(p)
     p.add_argument("--petal", type=int, help="petal being slid")
     p.add_argument("--ell", help="slide loop word, e.g. a2.a3^-1")
-    p.set_defaults(fn=cmd_slide)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
     p.add_argument("--quick", action="store_true", help="restrict to groups of order <= 8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", metavar="SUITE", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 
@@ -613,11 +611,21 @@ _EXIT_CODES = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
+    """Run one command and return its exit code.
+
+    The parser is built once per process, on the first call rather than at
+    import, and reused by every later call.  The command runs through the
+    module's ``cmd_<command>`` function as it is named at call time."""
+    args = _parser().parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_OUT_OF_MEMORY

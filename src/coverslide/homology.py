@@ -244,6 +244,8 @@ def orbit_rank_of_chain(
     B: HomologyBasis,
     z: Mapping[Edge, Rational],
     elements: Iterable[int] | None = None,
+    *,
+    free_only: bool = False,
 ) -> int:
     """Rank of the span of the deck translates of a cycle's class.
 
@@ -257,11 +259,20 @@ def orbit_rank_of_chain(
     per A-orbit, t in R, so row (chi, r) is the Walsh-Hadamard transform
     over A of r z on those edges, and the rank is a sum of one elimination
     per chi over |R| rows; for |R| = 1 (exponent 2) it counts nonzero rows.
-    The last whole-group answer is kept in ``B.rank_memo`` for its cover
-    object and chain.  Any other call (``elements``, a component basis, a
-    non-cycle, |A| = 1) eliminates the translates' cotree coordinates."""
+    Any other call (``elements``, a component basis, a non-cycle, |A| = 1)
+    eliminates the translates' cotree coordinates.
+
+    ``free_only=True`` asks only whether the orbit is free: the answer is
+    |G| (the number of ``elements``, when given) for a free orbit, as
+    without it, and some smaller number otherwise.  The first deficient
+    summand, or the first translate that reduces to zero
+    (``sparse_rank(..., stop_on_dependent=True)``), ends the elimination.
+    The last whole-group answer of |G| is kept in ``B.rank_memo`` for its
+    cover object and chain, so it answers both kinds of call; a smaller
+    answer is not kept."""
     if elements is not None:
-        return linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
+        translates = (_sparse_coords(B, translate_chain(Y, g, z)) for g in elements)
+        return linalg.sparse_rank(translates, stop_on_dependent=free_only)
     cover, chain, value = B.rank_memo
     if cover is Y and chain == z:
         return value
@@ -269,28 +280,41 @@ def orbit_rank_of_chain(
     code, coset, reps = G.involution_cosets
     whole_cover = len(B.edges) == Y.n * G.order and B.edge_set.issuperset(z)
     if len(reps) < G.order and whole_cover and not chain_boundary(Y, z):
-        value = _split_rank(Y, z, code, coset, reps)
+        value = _split_rank(Y, z, code, coset, reps, free_only)
     else:
-        value = linalg.sparse_rank(_sparse_coords(B, translate_chain(Y, g, z)) for g in G.elements())
-    B.rank_memo = (Y, dict(z), value)
+        translates = (_sparse_coords(B, translate_chain(Y, g, z)) for g in G.elements())
+        value = linalg.sparse_rank(translates, stop_on_dependent=free_only)
+    if value == G.order:
+        B.rank_memo = (Y, dict(z), value)
     return value
 
 
-def _split_rank(Y: CoverGraph, z: Mapping[Edge, Rational], code: list, coset: list, reps: list) -> int:
+def _split_rank(
+    Y: CoverGraph, z: Mapping[Edge, Rational], code: list, coset: list, reps: list, free_only: bool
+) -> int:
     # r z has c at (r h, i) = (a t, i): column (t, i), sign chi(a)
     n, mul = Y.n, Y.group.mul
     terms = [(h, i, c) for (h, i), c in z.items() if c]
     rows = [[(coset[mul[r][h]] * n + i, code[mul[r][h]], c) for h, i, c in terms] for r in reps]
     total = 0
     for s in range(Y.group.order // len(reps)):
-        summand = []
-        for row in rows:
-            acc: dict[int, Rational] = {}
-            for col, a, c in row:
-                acc[col] = acc.get(col, 0) + (-c if (s & a).bit_count() & 1 else c)
-            summand.append({col: x for col, x in acc.items() if x})
-        total += linalg.sparse_rank(summand) if len(rows) > 1 else bool(summand[0])
+        summand = (_character_row(row, s) for row in rows)
+        if len(rows) > 1:
+            rank = linalg.sparse_rank(summand, stop_on_dependent=free_only)
+        else:
+            rank = bool(next(summand))
+        total += rank
+        if free_only and rank < len(rows):
+            break
     return total
+
+
+def _character_row(row: list, s: int) -> dict[int, Rational]:
+    # row (chi_s, r) of the split: the nonzero column sums of r z's signed terms
+    acc: dict[int, Rational] = {}
+    for col, a, c in row:
+        acc[col] = acc.get(col, 0) + (-c if (s & a).bit_count() & 1 else c)
+    return {col: x for col, x in acc.items() if x}
 
 
 def orbit_rank(

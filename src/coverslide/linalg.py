@@ -93,8 +93,11 @@ class ColumnMatrix:
         return map(self._dense, column_rows(self.columns))
 
     def __getitem__(self, i):
-        rows = column_rows(self.columns)[i]
-        return list(map(self._dense, rows)) if isinstance(i, slice) else self._dense(rows)
+        columns = self.columns
+        rows = range(len(columns))[i]
+        if isinstance(i, slice):
+            return [[col.get(k, 0) for col in columns] for k in rows]
+        return [col.get(rows, 0) for col in columns]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ColumnMatrix):
@@ -116,14 +119,18 @@ def rank(rows: Sequence[Sequence]) -> int:
     return sparse_rank({c: x for c, x in enumerate(row) if x} for row in rows)
 
 
-def sparse_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
+def sparse_rank(rows: Iterable[Mapping[int, Rational]], *, stop_on_dependent: bool = False) -> int:
     """Exact rank over Q of rows given as ``col -> value`` maps, via sparse
     integer elimination.
 
     Each row's denominators are cleared, and the resulting dict of nonzero
     ints is reduced against the pivot row of its leading column
     (``v <- a*v - b*p``, then divided by its content gcd) until it is zero or
-    becomes a new pivot.  The input rows are not modified."""
+    becomes a new pivot.  The input rows are not modified.
+
+    With ``stop_on_dependent``, the first row that reduces to zero ends the
+    elimination, and no later row is drawn from ``rows``: the answer is the
+    number of rows exactly when they are independent, and smaller otherwise."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         den = lcm(*(x.denominator for x in row.values()))
@@ -147,6 +154,9 @@ def sparse_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
             g = gcd(*v.values())
             if g > 1:
                 v = {c: x // g for c, x in v.items()}
+        else:
+            if stop_on_dependent:
+                break
     return len(pivots)
 
 

@@ -204,7 +204,9 @@ def find_slide_loop(
     """A loop avoiding petal j, lifting closed at the identity vertex and
     staying in its component, whose lifted class has deck orbit of full rank
     |G|.  Deterministic given the seed: candidates are tested in a fixed
-    order and the first success is returned."""
+    order and the first success is returned.  Each candidate is one
+    ``orbit_rank_of_chain(..., free_only=True)`` call, which stops at the
+    first proof that the orbit is not free."""
     if Y.n < 3:
         raise RankTooSmall(
             f"rose rank {Y.n} < 3: the identity component carries no class "
@@ -221,7 +223,7 @@ def find_slide_loop(
         tested += 1
         if all(x == 0 for x in c):
             continue
-        if orbit_rank_of_chain(Y, B, class_to_chain(B0, c)) == order:
+        if orbit_rank_of_chain(Y, B, class_to_chain(B0, c), free_only=True) == order:
             word = loop_word(B0, c)
             if Y.image_of(word) != 0:
                 raise CertificateFailed(["property 2"])

@@ -11,8 +11,9 @@ routes that must agree:
 * the cocycle formula: ``F(w) = w + sum_g xi_{(g,j)}(w) * [g . ell~]`` where
   ``ell~`` is the lift of ``ell`` at the identity vertex and ``xi_{(g,j)}``
   reads off the coefficient of the petal-j edge at vertex g;
-* the chain-map oracle: lift the substituted word of every single edge by
-  path lifting and push basis cycles through the resulting chain map.
+* the chain-map oracle: lift the substituted word of every edge the slide
+  moves by path lifting and push basis cycles through the resulting chain
+  map, which is the identity on every other edge.
 
 Because ``ell`` avoids petal j, no translate of ``ell~`` meets a petal-j
 edge, so the difference F - I squares to zero and iterates follow the closed
@@ -164,28 +165,42 @@ def lifted_action_oracle(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis) 
     is sent to the lift, at g, of the substituted generator word.  Each edge
     image must have the boundary head - tail of its edge (else
     :class:`NotACycle`), so by linearity the image of every cycle is a cycle
-    and its coordinates are its cotree coefficients.  The map is pushed
-    through the basis cycles on those coefficients.
+    and its coordinates are its cotree coefficients.
+
+    Only the edges of the generators the slide moves are lifted.  Where the
+    substituted word of ``a_i`` is ``a_i`` itself (every i but j, for a
+    nonempty loop), the lift at g is the edge (g, i): it maps to itself and
+    adds only its own cotree coordinate.  So column k is
+    ``e_k + sum c * coords(img(e) - e)`` over the moved edges e of the basis
+    cycle ``z_k`` with coefficient c, the same column as pushing every edge
+    through the map.  Each moved edge, in edge order, is lifted by path
+    lifting, its image checked against the edge's boundary and checked to
+    stay in the basis's graph (else :class:`ValueError`).
     """
     _lift_chain_or_raise(s, Y)
     images = {i: apply_automorphism(s, Word.generator(i)) for i in range(1, Y.n + 1)}
-    edge_coords: dict = {}
+    moved = {i: w for i, w in images.items() if w != Word.generator(i)}
+    displacement: dict = {}
     for e in B.edges:
-        img = chain_of_path(lift_word(Y, images[e[1]], e[0]))
-        # img - e is a cycle exactly when img has the boundary of e
-        bd = chain_boundary(Y, {**img, e: img.get(e, 0) - 1})
+        if e[1] not in moved:
+            continue
+        # img(e) - e: a cycle exactly when img(e) has the boundary of e, and
+        # in the basis's graph exactly when img(e) is, since e is
+        moved_by = chain_of_path(lift_word(Y, moved[e[1]], e[0]))
+        chain_add(moved_by, e, -1)
+        bd = chain_boundary(Y, moved_by)
         if bd:
             raise NotACycle(min(bd))
-        if not img.keys() <= B.edge_set:
+        if not moved_by.keys() <= B.edge_set:
             raise ValueError(f"image of edge {e} leaves the graph of this basis")
-        edge_coords[e] = _sparse_coords(B, img)
+        displacement[e] = _sparse_coords(B, moved_by)
     cols = []
-    for zk in B.cycles:
-        col: dict = {}
+    for k, zk in enumerate(B.cycles):
+        col = {k: 1}
         for e, c in zk.items():
-            for k, x in edge_coords[e].items():
-                col[k] = col.get(k, 0) + c * x
-        cols.append({k: x for k, x in col.items() if x})
+            for row, x in displacement.get(e, {}).items():
+                col[row] = col.get(row, 0) + c * x
+        cols.append({row: x for row, x in col.items() if x})
     return cols
 
 

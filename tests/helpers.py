@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
-from coverslide import builtin_group, cycle_basis, group_from_json, make_cover, standard_images, translate_chain
+from coverslide import (
+    NotACycle,
+    Word,
+    builtin_group,
+    chain_of_path,
+    cycle_basis,
+    group_from_json,
+    lift_word,
+    make_cover,
+    slides,
+    standard_images,
+    translate_chain,
+)
 from coverslide.groups import _greedy_generators
-from coverslide.homology import _sparse_coords
+from coverslide.homology import _sparse_coords, chain_boundary
 from coverslide.linalg import sparse_rank, vec_is_zero, vec_sub
 
 BATTERY_FAMILIES = (
@@ -96,6 +108,34 @@ def reference_deck_action_matrix(Y, B, g):
     translates' cotree coordinates, one row per basis cycle."""
     translates = [[translate_chain(Y, g, zk).get(e, 0) for e in B.cotree] for zk in B.cycles]
     return [list(col) for col in zip(*translates)]
+
+
+def reference_lifted_action_oracle(s, Y, B):
+    """The chain-map oracle that lifts every edge: each edge (g, i) goes to
+    the lift at g of the substituted word of a_i, checked to have the
+    boundary of the edge and to stay in B's graph, edge by edge in B's edge
+    order, and each basis cycle is pushed through the map.  The substitution
+    is read from ``slides.apply_automorphism`` at call time, as the package's
+    oracle reads it."""
+    slides._lift_chain_or_raise(s, Y)
+    images = {i: slides.apply_automorphism(s, Word.generator(i)) for i in range(1, Y.n + 1)}
+    edge_coords = {}
+    for e in B.edges:
+        img = chain_of_path(lift_word(Y, images[e[1]], e[0]))
+        bd = chain_boundary(Y, {**img, e: img.get(e, 0) - 1})
+        if bd:
+            raise NotACycle(min(bd))
+        if not img.keys() <= B.edge_set:
+            raise ValueError(f"image of edge {e} leaves the graph of this basis")
+        edge_coords[e] = _sparse_coords(B, img)
+    cols = []
+    for zk in B.cycles:
+        col = {}
+        for e, c in zk.items():
+            for k, x in edge_coords[e].items():
+                col[k] = col.get(k, 0) + c * x
+        cols.append({k: x for k, x in col.items() if x})
+    return cols
 
 
 # dense references: the package holds slide actions as sparse columns and

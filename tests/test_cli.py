@@ -553,3 +553,53 @@ def test_selftest_checks_survive_optimize():
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  slides" in proc.stdout
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def _calls_in_a_row(out_path):
+    move = ["move", "--group", "symmetric:3", "--n", "3", "--vector-word", "a3"]
+    return [
+        [*move, "--json"],
+        move,
+        ["move", "--group", "dihedral:4", "--n", "3", "--vector-word", "a3.a3",
+         "--depth", "3", "--seed", "5", "--out", str(out_path)],
+        ["verify-cw", "--group", "elementary_abelian:2,2", "--n", "3", "--json"],
+        ["verify-cw", "--group", "symmetric:3", "--n", "3"],
+        ["slide", "--group", "elementary_abelian:2,2", "--images", "1,2,0", "--petal", "1", "--ell", "a2.a2"],
+        ["move", "--group", "cyclic:3", "--n", "3", "--vector-word", "a3", "--bogus"],
+        ["build", "--group", "cyclic:3", "--n", "2", "--images", "0,0"],
+        ["move", "--group", "cyclic:3", "--images", "1,1,0", "--vector=-1,0,0,0,0,0,1", "--json"],
+        ["move", "--group", "cyclic:3", "--images", "1,1,0", "--vector", "0,0,0,0,0,0,0"],
+        [*move, "--json", "--depth", "1"],
+    ]
+
+
+def test_calls_in_a_row_match_first_calls(tmp_path, capsys):
+    """Each of several cli.main calls in one process, with different commands
+    and flags and a refused argv among them, gives the stdout, stderr, exit
+    code and --out file that the same argv gives as the first call of a
+    fresh process."""
+    src = str(Path(coverslide.__file__).resolve().parent.parent)
+    first = []
+    for argv in _calls_in_a_row(tmp_path / "first.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverslide.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        first.append((proc.returncode, proc.stdout, proc.stderr))
+    in_a_row = []
+    for argv in _calls_in_a_row(tmp_path / "in_a_row.json"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        in_a_row.append((code, captured.out, captured.err))
+    assert in_a_row == first
+    assert {code for code, _, _ in first} == {0, 2, 3, 4}
+    assert (tmp_path / "in_a_row.json").read_bytes() == (tmp_path / "first.json").read_bytes()

@@ -36,6 +36,7 @@ from coverslide.linalg import (
     vector_to_json,
 )
 
+from coverslide import homology
 from coverslide.homology import chain_add, tree_path_steps
 
 from helpers import (
@@ -442,3 +443,68 @@ def test_rank_memo_answers_only_for_its_cover_and_chain(klein_n3_cover):
     orbit_rank_of_chain(Y, B, other)
     other.clear()
     assert orbit_rank_of_chain(Y, B, other) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SPLIT_SPECS),
+    st.integers(0, 2**32),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(0, 10**6), _COEFFICIENTS), min_size=1, max_size=4),
+    st.sampled_from(("whole", "component", "elements")),
+)
+def test_free_only_answers_whether_the_orbit_is_free(spec, seed, extra, terms, basis):
+    """On relabelled tables, ``free_only=True`` returns |G| (the number of
+    elements, when given) exactly when the orbit rank is that, and never more
+    than the rank.  A smaller answer is not kept, so a full call on the same
+    basis and chain still ranks in full."""
+    Y, B, rng = _random_cover(spec, seed, extra)
+    if basis == "component":
+        B = component_basis(rng.choice(petal_complement_components(Y, rng.randint(1, Y.n))))
+    z = {}
+    for k, c in terms:
+        for e, x in B.cycles[k % B.rank].items():
+            chain_add(z, e, c * x)
+    elements = None
+    if basis == "elements":
+        elements = rng.sample(range(Y.group.order), rng.randint(1, Y.group.order))
+    top = Y.group.order if elements is None else len(elements)
+    full = reference_orbit_rank(Y, B, z, elements)
+    free = orbit_rank_of_chain(Y, B, z, elements, free_only=True)
+    assert free <= full
+    assert (free == top) == (full == top)
+    assert orbit_rank_of_chain(Y, B, z, elements) == full
+
+
+@pytest.mark.parametrize(
+    "spec, split",
+    [("dihedral:4", True), ("elementary_abelian:2,3", True), ("symmetric:3", True),
+     ("cyclic:9", False), ("elementary_abelian:3,2", False)],
+)
+def test_free_only_on_both_routes(spec, split, monkeypatch):
+    """Free and non-free orbits of basis cycles and of their sums, on a
+    group that splits its ranks over characters and on one that does not."""
+    G = builtin_group_from_string(spec)
+    Y = make_cover(G, standard_images(G, 3))
+    B = cycle_basis(Y)
+    splits = []
+    split_rank = homology._split_rank
+
+    def counted(*args):
+        splits.append(args)
+        return split_rank(*args)
+
+    monkeypatch.setattr(homology, "_split_rank", counted)
+    answers = set()
+    for k in range(B.rank):
+        z = dict(B.cycles[k])
+        for e, x in B.cycles[(k + 1) % B.rank].items():
+            chain_add(z, e, Fraction(x, 2) if k % 2 else x)
+        for chain in (dict(B.cycles[k]), z):
+            full = reference_orbit_rank(Y, B, chain)
+            B.rank_memo = (None, None, 0)
+            free = orbit_rank_of_chain(Y, B, chain, free_only=True)
+            assert free <= full and (free == G.order) == (full == G.order), (k, chain)
+            answers.add(full == G.order)
+    assert answers == {True, False}
+    assert bool(splits) == split

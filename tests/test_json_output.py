@@ -49,6 +49,22 @@ def test_string_lists_match_json_dumps(strings, depth):
     assert cli._dumps(tuple(strings)) == dumps(strings)
 
 
+ESCAPED = st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"])
+NEAR_PLAIN = st.lists(PRINTABLE | ESCAPED, max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NEAR_PLAIN | PRINTABLE, min_size=1, max_size=8), st.integers(0, 2))
+def test_quoted_join_is_kept_only_without_escapes(strings, depth):
+    # mostly plain lists in which a few items carry a quote, a backslash, a
+    # newline, a control character or non-ASCII text: the writer's one
+    # quoted join must not be kept for them
+    obj = strings
+    for _ in range(depth):
+        obj = [obj, {"k": strings}]
+    assert cli._dumps(obj) == dumps(obj)
+
+
 def test_one_list_at_two_depths_and_many_times_at_one():
     # the writer keeps a list's text by (id, indent): the same object at two
     # depths must be indented at each, and repeats reuse the text

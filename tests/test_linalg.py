@@ -1,11 +1,14 @@
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverslide import Word, builtin_group, cycle_basis, make_cover, standard_images
+from coverslide import Word, builtin_group, cycle_basis, linalg, make_cover, standard_images
 from coverslide.cwcheck import elevation_rank_obstruction
 from coverslide.linalg import (
+    ColumnMatrix,
     column_rows,
     int_if_integral,
     columns_to_json,
@@ -98,6 +101,56 @@ def test_rank_matches_gauss_and_bareiss(rows):
     # sparse rows: nonzeros only, and with explicit zeros kept
     assert sparse_rank({c: x for c, x in enumerate(row) if x} for row in rows) == expected
     assert sparse_rank([dict(enumerate(row)) for row in transposed]) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_stop_on_dependent_stops_at_the_first_dependent_row(rows):
+    """The rows before the first one in the span of those before it are
+    ranked, and no later row is drawn; with no such row, the full rank."""
+    first = next((k for k in range(len(rows)) if naive_rank(rows[: k + 1]) == k), None)
+    drawn = []
+
+    def sparse_rows():
+        for row in rows:
+            drawn.append(row)
+            yield {c: x for c, x in enumerate(row) if x}
+
+    stop = sparse_rank(sparse_rows(), stop_on_dependent=True)
+    if first is None:
+        assert stop == naive_rank(rows) == len(rows) == len(drawn)
+    else:
+        assert stop == first < len(rows)
+        assert len(drawn) == first + 1
+
+
+@st.composite
+def column_matrices(draw):
+    r = draw(st.integers(0, 7))
+    sparse = st.one_of(st.just(0), st.just(0), entries)
+    dense = draw(st.lists(st.lists(sparse, min_size=r, max_size=r), min_size=r, max_size=r))
+    columns = [{i: dense[i][c] for i in range(r) if dense[i][c]} for c in range(r)]
+    return dense, ColumnMatrix(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_matrices(), st.data())
+def test_column_matrix_rows_match_the_dense_rows(matrix, data):
+    """Indexing, slicing (negative bounds and steps too) and iteration read
+    the dense rows; an index reads only its own row, without the all-rows
+    pass that iteration makes."""
+    dense, m = matrix
+    r = len(dense)
+    assert list(m) == dense
+    bound = st.none() | st.integers(-r - 2, r + 2)
+    step = st.none() | st.integers(-3, 3).filter(bool)
+    k = slice(data.draw(bound), data.draw(bound), data.draw(step))
+    with mock.patch.object(linalg, "column_rows", side_effect=AssertionError("all rows built")):
+        assert [m[i] for i in range(-r, r)] == dense + dense
+        assert m[k] == dense[k]
+        for i in (r, -r - 1):
+            with pytest.raises(IndexError):
+                m[i]
 
 
 def test_rank_edge_shapes():

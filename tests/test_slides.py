@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,14 @@ from coverslide import slides
 from coverslide.homology import NotACycle, chain_add
 from coverslide.linalg import mat_vec, vec_sub
 
-from helpers import battery_covers, mat_identity, mat_is_zero, mat_mul, mat_sub
+from helpers import (
+    battery_covers,
+    mat_identity,
+    mat_is_zero,
+    mat_mul,
+    mat_sub,
+    reference_lifted_action_oracle,
+)
 
 words3 = st.builds(
     Word,
@@ -223,6 +231,77 @@ def test_oracle_checks_each_edge_image_boundary(mod2_cover, mod2_basis, monkeypa
     monkeypatch.setattr(slides, "apply_automorphism", wrong)
     with pytest.raises(NotACycle):
         lifted_action_oracle(s, mod2_cover, mod2_basis)
+
+
+ORACLE_COVERS = battery_covers((2, 3, 4))
+
+
+def _outcome(route, s, Y, B):
+    """The columns a route returns, or the type and message of the
+    ValueError (NotACycle among them) it raises."""
+    try:
+        return route(s, Y, B)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_basis(Y, B, rng):
+    """B, or the basis of a random component of a random petal complement."""
+    if rng.random() < 0.5:
+        return B
+    return component_basis(rng.choice(petal_complement_components(Y, rng.randint(1, Y.n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_COVERS), st.randoms(use_true_random=False))
+def test_oracle_matches_the_chain_map_on_every_edge(cover, rng):
+    """Lifting only the moved edges gives the columns, or the error, of
+    pushing every edge through the chain map: on whole bases and on
+    component bases, which a loop may leave."""
+    name, Y, B = cover
+    j, ell = random_valid_slide(Y, B, rng)
+    s = make_slide(Y.n, j, ell)
+    Bx = _random_basis(Y, B, rng)
+    got = _outcome(lifted_action_oracle, s, Y, Bx)
+    assert got == _outcome(reference_lifted_action_oracle, s, Y, Bx), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_COVERS), st.randoms(use_true_random=False))
+def test_oracle_matches_the_chain_map_on_wrong_substitutions(cover, rng):
+    """With a substitution that also puts a random letter in front of a
+    random generator, the oracle lifts that generator's edges too and raises
+    the chain map's NotACycle, at the same vertex, or returns its columns."""
+    name, Y, B = cover
+    j, ell = random_valid_slide(Y, B, rng)
+    s = make_slide(Y.n, j, ell)
+    i0, letter = rng.randint(1, Y.n), (rng.randint(1, Y.n), rng.choice((1, -1)))
+    apply = slides.apply_automorphism
+
+    def wrong(slide, w):
+        image = apply(slide, w)
+        return free_reduce(Word((letter,)) * image) if w == Word.generator(i0) else image
+
+    Bx = _random_basis(Y, B, rng)
+    with mock.patch.object(slides, "apply_automorphism", wrong):
+        got = _outcome(lifted_action_oracle, s, Y, Bx)
+        assert got == _outcome(reference_lifted_action_oracle, s, Y, Bx), name
+
+
+def test_oracle_lifts_only_the_moved_edges(klein_n3_cover, klein_n3_basis, monkeypatch):
+    # a slide of petal 1 moves the |G| petal-1 edges and no other
+    Y, B = klein_n3_cover, klein_n3_basis
+    s = make_slide(3, 1, Word.from_string("a2.a2"))
+    starts = []
+
+    def counted(Y, w, start):
+        starts.append((w, start))
+        return lift_word(Y, w, start)
+
+    monkeypatch.setattr(slides, "lift_word", counted)
+    assert lifted_action_oracle(s, Y, B) == reference_lifted_action_oracle(s, Y, B)
+    moved = [start for w, start in starts if w != s.ell]
+    assert sorted(moved) == list(range(Y.group.order))
 
 
 def test_both_routes_reject_a_basis_the_loop_leaves(klein_n3_cover):
