@@ -26,7 +26,9 @@ entry per petal: the formula's :class:`LiftedSlide` (the loop's lifted chain
 and class, the columns and the translate classes), the orbit rank of the
 loop's class and the oracle's columns (kept as the formula's own list once
 they are found equal).  Every check of :func:`verify_certificate` still runs
-on every call, against the certificate's own fields.  A certificate's
+on every call, against the certificate's own fields.  A move builds v's
+canonical cycle once; the verifier reads v's coordinates and builds none.
+A certificate's
 ``matrix`` is a :class:`~coverslide.linalg.ColumnMatrix` over its own copy of
 the formula's columns.
 """
@@ -298,22 +300,30 @@ def verify_certificate(
     scalar that is not exactly an int, so not a bool or a float, an ``ell``
     that is not a :class:`Word`, a nonzero that is not an int or a Fraction)
     fails the check that reads it.
+
+    The checks read v's coordinates, scaled to ``b = den * v`` in ints, and
+    never build v's cycle: the pairing edge's coefficient is the sum of
+    ``b[k]`` times basis cycle k's coefficient on that edge.  The increment
+    is scaled once, to ``s = den * increment``.  "increment consistent" is
+    ``M_L b == b + s`` with ``M_L`` the formula's columns, since formula
+    column k is ``e_k`` plus the petal-j increment of cycle k; this is not
+    the producer's route, which takes :func:`slide_increment` of v's cycle.
     The certificate's matrix gives its column nonzeros, compared with the
     formula's and the oracle's columns (a matrix that is not r lists of r
-    entries fails both), and taken by the two column products of
-    :func:`_iterate_failure` on ``den * v`` in ints, as is v's cycle (a
-    matrix without r rows fails that check).  The increment is scaled once,
-    to ``den * increment``, which both the consistency and the iterate checks
-    read.  A :class:`~coverslide.linalg.ColumnMatrix` gives its columns as
-    they are; dense rows, as from JSON, are read in one pass by
-    :func:`_matrix_nonzeros`.  An entry of v that is not an int or a Fraction
-    raises :class:`ValueError`.
+    entries fails both), and taken by the column products of
+    :func:`_iterate_failure` on b and s (a matrix without r rows fails that
+    check), which reuses ``M_L b`` when the matrix equals the formula's.  A
+    :class:`~coverslide.linalg.ColumnMatrix` gives its columns as they are;
+    dense rows, as from JSON, are read in one pass by
+    :func:`_matrix_nonzeros`.  An entry of v that is not an int or a
+    Fraction, or a v whose length is not the rank, raises
+    :class:`ValueError`.
 
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
-    calls: the loop's lifted class, its orbit rank, the formula's and the
-    oracle's columns and the translate classes behind the increment.  Every
-    check still runs on every call, against the certificate's own fields.
+    calls: the loop's lifted class, its orbit rank and the formula's and the
+    oracle's columns.  Every check still runs on every call, against the
+    certificate's own fields.
     """
     failures: list[str] = []
     order = Y.group.order
@@ -331,7 +341,8 @@ def verify_certificate(
     if not closed:
         failures.append("property 2")
 
-    chain_w = class_to_chain(B, w)
+    if len(w) != r:
+        raise ValueError(f"coordinate vector has length {len(w)}, expected {r}")
     if type(cert.matrix) is linalg.ColumnMatrix:
         columns, square = cert.matrix.columns, True
         if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
@@ -340,7 +351,9 @@ def verify_certificate(
         columns, square = _matrix_nonzeros(cert.matrix, r)
     pe = cert.pairing_edge
     is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(type(x) is int for x in pe)
-    if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
+    pe = tuple(pe) if is_edge else None
+    # the coefficient of v's canonical cycle on pe, read without the cycle
+    if not (is_edge and pe[1] == j and sum(c * z.get(pe, 0) for c, z in zip(w, B.cycles) if c)):
         failures.append("pairing edge")
 
     lifted = _lifted_slide(Y, B, j, ell) if property1 and closed else None
@@ -364,26 +377,37 @@ def verify_certificate(
     if increment is None or linalg.vec_is_zero(increment):
         failures.append("increment nonzero")
     if s is not None and (den != 1 or not set(map(type, s)) <= {int}):
-        # s = den * increment, each entry an int when integral, as
-        # slide_increment gives it on den * v
-        s = [linalg.int_if_integral(den * x) for x in s]
+        # s = den * increment, each entry an int when integral: in ints where
+        # the entry's denominator divides den, as it does unless tampered
+        s = [
+            0 if not x
+            else x.numerator * (den // x.denominator) if den % x.denominator == 0
+            else linalg.int_if_integral(den * x)
+            for x in s
+        ]
 
+    product = None
     if lifted is not None:
+        # formula column k is e_k + the petal-j increment of cycle k, so by
+        # linearity slide_increment(L, class_to_chain(B, w)) == M_L w - w
+        mw = linalg.column_products(L.columns, w)
         differs = not square or columns != L.columns
         if differs:
             failures.append("matrix vs formula")
+        else:
+            product = mw  # the iterate check's M b
         if oracle is not L.columns:
             differs = not square or columns != oracle
         if differs:
             failures.append("matrix vs oracle")
-        if slide_increment(L, chain_w) != s:
+        if s is None or len(s) != r or mw != [x + y for x, y in zip(w, s)]:
             failures.append("increment consistent")
     else:
         failures.append("matrix vs formula")
 
     depth = cert.iterates_checked
     if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(columns or ()) == r:
-        failure = _iterate_failure(cert, v, columns, w, s)
+        failure = _iterate_failure(cert, v, columns, w, s, product)
         if failure:
             failures.append(failure)
     else:
@@ -447,7 +471,12 @@ def _matrix_nonzeros(matrix: list, r: int) -> tuple[list | None, bool]:
 
 
 def _iterate_failure(
-    cert: MoveCertificate, v: list, columns: list, b: list, s: list | None
+    cert: MoveCertificate,
+    v: list,
+    columns: list,
+    b: list,
+    s: list | None,
+    product: list | None = None,
 ) -> str | None:
     """The first failed check (``"iterate closed form"`` or ``"iterates
     distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
@@ -456,13 +485,16 @@ def _iterate_failure(
     ``b`` is ``den * v`` and ``s`` is ``den * increment``, or None when the
     increment is not a list of ints and Fractions.  By induction ``M^d b = b +
     d s`` for d in 1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and
-    those iterates are distinct iff s != 0: two column products.  s is read
-    through ``zip``, trimmed to r and failing if short.  v is unread, there
-    for a dense reference check to stand in for this one."""
+    those iterates are distinct iff s != 0: two column products, the first
+    skipped when ``product`` already holds ``M b``.  s is read through
+    ``zip``, trimmed to r and failing if short.  v is unread, there for a
+    dense reference check to stand in for this one."""
     if s is None:
         return "iterate closed form"
     s = s[: len(b)]
-    if linalg.column_products(columns, b) != [x + y for x, y in zip(b, s)]:
+    if product is None:
+        product = linalg.column_products(columns, b)
+    if product != [x + y for x, y in zip(b, s)]:
         return "iterate closed form"
     if cert.iterates_checked >= 2 and linalg.column_products(columns, s) != s:
         return "iterate closed form"

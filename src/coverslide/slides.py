@@ -22,7 +22,11 @@ form ``F^d(w) = w + d * (F(w) - w)``.
 Both routes give the action as the columns of a
 :class:`~coverslide.linalg.ColumnMatrix`, one per basis cycle: column k
 differs from ``e_k`` only when the cycle crosses petal j, so most columns
-are a single diagonal 1.
+are a single diagonal 1.  Column k of the formula is ``e_k`` plus the
+petal-j increment of basis cycle k, so by linearity the increment of a class
+w, :func:`slide_increment` of its canonical cycle, is also ``M w - w`` for
+the formula's matrix M: a mover takes it from w's cycle, and its verifier
+from the columns and w's coordinates, with no cycle built.
 A :class:`LiftedSlide` is plain data in one basis's coordinates and does not
 hold the basis, so the basis can keep it (``HomologyBasis.slide_memo``).
 """
@@ -219,8 +223,11 @@ def _petal_increment(L: LiftedSlide, z: Chain1) -> dict:
 
 def slide_increment(L: LiftedSlide, chain: Chain1) -> list:
     """The per-iterate displacement ``F(w) - w`` of a class w, from the closed
-    form ``F^d(w) = w + d * (F(w) - w)`` (not from the matrix).  ``chain`` is
-    w's canonical cycle, ``class_to_chain(B, w)`` in the basis of L."""
+    form ``F^d(w) = w + d * (F(w) - w)``, summed over the petal-j edges of
+    w's cycle (not from the matrix).  ``chain`` is w's canonical cycle,
+    ``class_to_chain(B, w)`` in the basis of L.  By linearity it equals
+    ``column_products(L.columns, w) - w``, the route a verifier takes from
+    w's coordinates without the cycle."""
     delta = _petal_increment(L, chain)
     return [delta.get(k, 0) for k in range(len(L.columns))]
 

@@ -10,13 +10,21 @@ from coverslide import (
     cycle_basis,
     group_from_json,
     lift_word,
+    linalg,
     make_cover,
+    mover,
     slides,
     standard_images,
     translate_chain,
 )
 from coverslide.groups import _greedy_generators
-from coverslide.homology import _sparse_coords, chain_boundary
+from coverslide.homology import (
+    _sparse_coords,
+    chain_boundary,
+    chain_to_class,
+    class_to_chain,
+    orbit_rank_of_chain,
+)
 from coverslide.linalg import sparse_rank, vec_is_zero, vec_sub
 
 BATTERY_FAMILIES = (
@@ -136,6 +144,87 @@ def reference_lifted_action_oracle(s, Y, B):
                 col[k] = col.get(k, 0) + c * x
         cols.append({k: x for k, x in col.items() if x})
     return cols
+
+
+def reference_verify_certificate(Y, B, v, cert):
+    """The verifier that builds v's canonical cycle with ``class_to_chain``:
+    it reads the pairing edge's coefficient from that cycle and takes
+    "increment consistent" from ``slide_increment`` on it, with the iterate
+    check's two products taken afresh.  Same checks, in the same order, with
+    the same failure names."""
+    failures = []
+    order = Y.group.order
+    r = B.rank
+    j = cert.petal
+    v = list(v)
+    den, w = mover._scaled(v)
+    ell, is_word = cert.ell, isinstance(cert.ell, Word)
+
+    property1 = type(j) is int and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
+    if not property1:
+        failures.append("property 1")
+
+    closed = is_word and ell.max_petal() <= Y.n and Y.image_of(ell) == 0
+    if not closed:
+        failures.append("property 2")
+
+    chain_w = class_to_chain(B, w)
+    if type(cert.matrix) is linalg.ColumnMatrix:
+        columns, square = cert.matrix.columns, True
+        if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
+            columns, square = None, False
+    else:
+        columns, square = mover._matrix_nonzeros(cert.matrix, r)
+    pe = cert.pairing_edge
+    is_edge = isinstance(pe, (tuple, list)) and len(pe) == 2 and all(type(x) is int for x in pe)
+    if not (is_edge and pe[1] == j and chain_w.get(tuple(pe), 0) != 0):
+        failures.append("pairing edge")
+
+    lifted = mover._lifted_slide(Y, B, j, ell) if property1 and closed else None
+    if closed:
+        if lifted is not None:
+            L, rank_value, oracle = lifted
+            ell_class = L.ell_class
+        else:
+            ell_chain = chain_of_path(lift_word(Y, ell, 0))
+            ell_class = chain_to_class(B, ell_chain)
+            rank_value = orbit_rank_of_chain(Y, B, ell_chain)
+        if ell_class != mover._exact(cert.ell_class):
+            failures.append("loop class mismatch")
+        claimed = cert.orbit_rank_value
+        if rank_value != order or type(claimed) is not int or claimed != rank_value:
+            failures.append("property 3")
+    else:
+        failures.append("property 3")
+
+    increment = s = mover._exact(cert.increment)
+    if increment is None or linalg.vec_is_zero(increment):
+        failures.append("increment nonzero")
+    if s is not None and (den != 1 or not set(map(type, s)) <= {int}):
+        s = [linalg.int_if_integral(den * x) for x in s]
+
+    if lifted is not None:
+        differs = not square or columns != L.columns
+        if differs:
+            failures.append("matrix vs formula")
+        if oracle is not L.columns:
+            differs = not square or columns != oracle
+        if differs:
+            failures.append("matrix vs oracle")
+        if slides.slide_increment(L, chain_w) != s:
+            failures.append("increment consistent")
+    else:
+        failures.append("matrix vs formula")
+
+    depth = cert.iterates_checked
+    if type(depth) is int and 1 <= depth <= mover.MAX_ITERATE_DEPTH and len(columns or ()) == r:
+        failure = mover._iterate_failure(cert, v, columns, w, s)
+        if failure:
+            failures.append(failure)
+    else:
+        failures.append("iterate closed form")
+
+    return mover.CertificateCheck(ok=not failures, failures=tuple(failures))
 
 
 # dense references: the package holds slide actions as sparse columns and

@@ -43,7 +43,7 @@ from coverslide import homology, linalg, mover
 from coverslide.cli import _dumps
 from coverslide.linalg import ColumnMatrix, int_if_integral, mat_vec, parse_rational, vec_is_zero
 
-from helpers import unit_vector
+from helpers import reference_verify_certificate, unit_vector
 
 
 # --- pairing edge ------------------------------------------------------------
@@ -1239,6 +1239,134 @@ def test_increment_consistency_matches_the_unscaled_comparison(cover, data):
     for name, increment in _tampered_increments(list(cert.increment), k):
         check = verify_certificate(Y, B, v, dataclasses.replace(cert, increment=increment))
         assert ("increment consistent" in check.failures) == (expected != increment), name
+
+
+def _increment_variants(cert, k):
+    """Copies of the certificate with each of ``_tampered_increments``, and
+    with entry k moved by 1, -1 or 1/7 or made a float, a nonzero appended,
+    or None for the increment."""
+    inc = list(cert.increment)
+
+    def put(x):
+        return inc[:k] + [x] + inc[k + 1 :]
+
+    more = [
+        ("+1", put(inc[k] + 1)),
+        ("-1", put(inc[k] - 1)),
+        ("+1/7", put(inc[k] + Fraction(1, 7))),
+        ("a float", put(float(inc[k]))),
+        ("a nonzero added", inc + [1]),
+        ("None", None),
+    ]
+    return [(f"increment {name}", dataclasses.replace(cert, increment=increment))
+            for name, increment in _tampered_increments(inc, k) + more]
+
+
+def _pairing_variants(Y, cert):
+    """Copies of the certificate with every pairing edge of its petal, the
+    edge on another petal, and edges of the wrong type or out of range."""
+    g, j = cert.pairing_edge
+    other = j % Y.n + 1
+    out = [(f"vertex {h}", dataclasses.replace(cert, pairing_edge=(h, j)))
+           for h in range(Y.group.order)]
+    for name, pe in (
+        ("wrong petal", (g, other)),
+        ("a list", [g, j]),
+        ("a bool vertex", (True, j)),
+        ("a bool", True),
+        ("vertex out of range", (Y.group.order, j)),
+        ("negative vertex", (-1, j)),
+        ("petal out of range", (g, Y.n + 1)),
+    ):
+        out.append((name, dataclasses.replace(cert, pairing_edge=pe)))
+    return out
+
+
+def _cancelling_vectors(B, j):
+    """(edge, u) for each petal-j edge that two basis cycles a < b cross: u
+    combines those two so that its canonical cycle is 0 on the edge."""
+    out = []
+    for e in B.edges:
+        if e[1] != j:
+            continue
+        through = [k for k, z in enumerate(B.cycles) if z.get(e, 0)]
+        if len(through) >= 2:
+            a, b = through[:2]
+            u = [0] * B.rank
+            u[a], u[b] = B.cycles[b][e], -B.cycles[a][e]
+            out.append((e, u))
+    return out
+
+
+def _checked_or_raised(verify, Y, B, v, cert):
+    try:
+        return verify(Y, B, v, cert)
+    except ValueError as e:
+        return ("raised", type(e), str(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_verifier_matches_the_cycle_route(cover, data):
+    """The verifier, which reads v's coordinates and the formula's columns,
+    gives the CertificateCheck, or raises the message, of the verifier that
+    builds v's canonical cycle: on int, Fraction and integral-Fraction v, on
+    the certificate, its dense rows rebuilt from JSON and a copy with one
+    entry changed, each with tampered increments and pairing edges and at
+    depths 0, 1, 2 and MAX, on a v of the wrong length, and on a v whose
+    canonical cycle is 0 on the pairing edge with two basis cycles crossing it."""
+    Y, B, loop_cache = cover
+    r = B.rank
+    v = data.draw(st.lists(exact_entries, min_size=r, max_size=r))
+    assume(any(v))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    k = data.draw(st.integers(0, r - 1))
+    rebuilt = _rebuilt(cert, Y)
+    moved = next(i for i, row in enumerate(rebuilt.matrix) if sum(map(bool, row)) > 1)
+    bases = [
+        ("as built", cert),
+        ("dense rows", rebuilt),
+        ("one entry changed", _with_row(rebuilt, moved, lambda row: _set(row, k, row[k] + 1))),
+    ]
+    cases = []
+    for base_name, base in bases:
+        variants = [("untampered", base)] + _increment_variants(base, k) + _pairing_variants(Y, base)
+        variants += [(f"depth {d}", dataclasses.replace(base, iterates_checked=d))
+                     for d in (0, 1, 2, mover.MAX_ITERATE_DEPTH)]
+        cases += [((base_name, name), c, v) for name, c in variants]
+    cases += [(("wrong length", name), cert, u) for name, u in (("long", v + [0]), ("short", v[:-1]))]
+    cancelling = _cancelling_vectors(B, cert.petal)
+    cases += [(("cancelled at", e), dataclasses.replace(cert, pairing_edge=e), u) for e, u in cancelling]
+    verdicts = set()
+    for name, c, u in cases:
+        got = _checked_or_raised(verify_certificate, Y, B, u, c)
+        assert got == _checked_or_raised(reference_verify_certificate, Y, B, u, c), name
+        verdicts.add(got if type(got) is tuple else got.failures)
+    wrong_length = f"coordinate vector has length {r + 1}, expected {r}"
+    assert () in verdicts and ("raised", ValueError, wrong_length) in verdicts
+
+
+def test_only_move_vector_builds_the_cycle(klein_n3_cover, monkeypatch):
+    """move_vector builds v's canonical cycle once, for the pairing scan and
+    the increment, and its self-check and the caller's check build it not at
+    all: class_to_chain is called on the basis once a request."""
+    Y = klein_n3_cover
+    B = cycle_basis(Y)
+    calls = []
+    original = mover.class_to_chain
+
+    def counted(basis, v):
+        if basis is B:
+            calls.append(v)
+        return original(basis, v)
+
+    monkeypatch.setattr(mover, "class_to_chain", counted)
+    for v in ([0, -2, 0, 0, 3, 0, 0, 0, 1], [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 0, 0, 0, 3]):
+        calls.clear()
+        cert = move_vector(Y, B, v)
+        assert len(calls) == 1
+        assert verify_certificate(Y, B, v, cert).ok
+        assert len(calls) == 1
 
 
 def test_verifier_never_transposes_the_columns(klein_n3_cover, klein_n3_basis, monkeypatch):
