@@ -5,7 +5,9 @@ Covers are specified by ``--group`` (a builtin family like ``cyclic:5`` or a
 JSON file with a multiplication table), ``--n`` and ``--images`` (element
 indices or labels).  Output is human-readable by default, JSON with
 ``--json``; all runs are deterministic given the flags and ``--seed``.  The
-JSON payload is built only when it is written, with ``--json`` or ``--out``.
+JSON payload is built only when it is written, with ``--json`` or ``--out``,
+and it is written as it is rendered, a piece at a time, never held whole: a
+matrix goes out row by row from its column nonzeros.
 
 ``move --vector`` takes comma-separated rationals, also with a negative
 first coordinate (``--vector -1,0,...``).  ``--depth`` must be in
@@ -16,12 +18,13 @@ certificate failed self-verification, and the failed checks are named on
 stderr), 2 invalid configuration (also an output file that cannot be
 written), 3 disconnected cover, 4 zero vector, 5 rose rank too small, 6 loop
 search exhausted, 7 out of memory, 8 stdout closed (a reader such as ``head``
-stopped reading).
+stopped reading).  Exits 7 and 8 can follow a partial JSON document on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -83,7 +86,6 @@ from .slides import (
     PetalInLoop,
     lifted_action_formula,
     lifted_action_oracle,
-    lifted_slide_to_json,
     make_slide,
 )
 
@@ -186,44 +188,57 @@ def _parse_vector(args: argparse.Namespace, Y: CoverGraph, B: HomologyBasis) -> 
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str keys,
     lists, tuples, str and JSON scalars, without the pure-Python encoder that
-    ``indent`` selects.  The pieces of text are appended to one list and
-    joined once at the end.  A list is first tried as one join with the
-    quotes in the separator, which fails on an item that is not a string.
-    That text is kept when the items add no character the C string encoder
-    escapes (see ``_dump``), since on such items the encoder only adds
-    quotes; any other list of strings is one join of that encoder, and
-    scalars go through ``json.dumps``.  The text of a list of strings is
-    kept under ``(id(list), indent)`` for the rest of the call, so a list that the
+    ``indent`` selects; a :class:`~coverslide.linalg.ColumnMatrix` of ints
+    and Fractions is written as the dense rows of ``str`` texts that
+    :func:`~coverslide.linalg.columns_to_json` gives.  This is the string
+    form of ``_dump``, which the CLI writes piece by piece as it renders.
+
+    A list is first tried as one join with the quotes in the separator,
+    which fails on an item that is not a string.  That text is kept when the
+    items add no character the C string encoder escapes (see ``_dump``),
+    since on such items the encoder only adds quotes; any other list of
+    strings is one join of that encoder, and scalars go through
+    ``json.dumps``.  The text of a list of strings is kept under
+    ``(id(list), indent)`` for the rest of the call, so a list that the
     payload holds many times (the rows of an isotypic projector) is rendered
     once per depth.  An id names one object only while it lives; the payload
     keeps every list alive until the call returns."""
     parts: list[str] = []
-    _dump(obj, "", parts, {})
+    _dump(obj, "", parts.append, {})
     return "".join(parts)
 
 
-def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
-    """Append the text of ``obj`` at ``indent`` to ``parts`` (see ``_dumps``)."""
+def _dump(obj, indent: str, write, memo: dict) -> None:
+    """Pass the text of ``obj`` at ``indent`` to ``write``, a piece at a time
+    (see ``_dumps``).  No piece is longer than one matrix row or one list of
+    strings, so the whole document is never held.
+
+    A ColumnMatrix's rows are cut from one all-``"0"`` row text for its size
+    and indent: every entry has the same width there, so the entry of
+    column c starts at a known offset, and a row is slices of that text with
+    the ``str`` of each nonzero between its quotes.  Each distinct entry
+    object is rendered once.  An entry that is not exactly an int or a
+    Fraction raises TypeError before the matrix writes anything."""
     if isinstance(obj, str):
-        parts.append(_encode_str(obj))
+        write(_encode_str(obj))
     elif isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            write("{}")
             return
         inner = indent + "  "
         lead = "{\n" + inner
         for key in sorted(obj):
-            parts.append(f"{lead}{_encode_str(key)}: ")
-            _dump(obj[key], inner, parts, memo)
+            write(f"{lead}{_encode_str(key)}: ")
+            _dump(obj[key], inner, write, memo)
             lead = ",\n" + inner
-        parts.append("\n" + indent + "}")
+        write("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            parts.append("[]")
+            write("[]")
             return
         text = memo.get((id(obj), indent))
         if text is not None:
-            parts.append(text)
+            write(text)
             return
         inner = indent + "  "
         sep = ",\n" + inner
@@ -232,10 +247,10 @@ def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
         except TypeError:  # not a list of strings
             lead = "[\n" + inner
             for x in obj:
-                parts.append(lead)
-                _dump(x, inner, parts, memo)
+                write(lead)
+                _dump(x, inner, write, memo)
                 lead = sep
-            parts.append("\n" + indent + "]")
+            write("\n" + indent + "]")
             return
         # the bytes that are not plain are the separators' 3k - 1 quotes and
         # newlines (sep is ",\n" and spaces), plus those of every character
@@ -243,14 +258,42 @@ def _dump(obj, indent: str, parts: list[str], memo: dict) -> None:
         if len(body.encode().translate(None, _PLAIN)) != 3 * len(obj) - 1:
             body = sep.join(map(_encode_str, obj))
         text = memo[id(obj), indent] = "[\n" + inner + body + "\n" + indent + "]"
-        parts.append(text)
+        write(text)
+    elif type(obj) is linalg.ColumnMatrix:
+        columns = obj.columns
+        if not columns:
+            write("[]")
+            return
+        entries = {id(x): x for col in columns for x in col.values()}
+        if not set(map(type, entries.values())) <= linalg.EXACT_TYPES:
+            raise TypeError("a ColumnMatrix entry is not an int or a Fraction")
+        texts = {k: str(x) for k, x in entries.items()}
+        inner = indent + "  "
+        cell = ",\n" + inner + '  "0"'
+        blank = "[" + cell[1:] + cell * (len(columns) - 1) + "\n" + inner + "]"
+        start, width = len(cell) - 2, len(cell)  # where column 0's "0" is
+        lead = "[\n" + inner
+        for row in linalg.column_rows(columns):
+            pieces = [lead]
+            at = 0
+            for c, x in row:
+                cut = start + c * width
+                pieces += blank[at:cut], texts[id(x)]
+                at = cut + 1
+            pieces.append(blank[at:])
+            write("".join(pieces))
+            lead = ",\n" + inner
+        write("\n" + indent + "]")
     else:
-        parts.append(json.dumps(obj))
+        write(json.dumps(obj))
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, dump) -> None:
+    """Open ``path`` for writing and call ``dump(write)`` with its ``write``;
+    an OSError is a ConfigError."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            dump(f.write)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
@@ -262,14 +305,16 @@ def _writes_json(args: argparse.Namespace) -> bool:
 
 def _emit(args: argparse.Namespace, payload: dict | None, human_lines: list[str]) -> None:
     """Print the payload's JSON with ``--json``, else the human lines; with
-    ``move --out``, also write the same JSON text to that file.  The payload
-    is ``None`` when no JSON is written."""
-    if _writes_json(args):
-        text = _dumps(payload)
-        if args.out:
-            _write(args.out, text)
+    ``move --out``, first write the same JSON text to that file.  The JSON
+    is written as it is rendered, a piece at a time, and never held whole;
+    with both ``--out`` and ``--json`` it is rendered once for each.  The
+    payload is ``None`` when no JSON is written."""
+    if args.out:
+        _write(args.out, lambda write: _dump(payload, "", write, {}))
     if args.json:
-        print(text)
+        write = sys.stdout.write
+        _dump(payload, "", write, {})
+        write("\n")
     else:
         for line in human_lines:
             print(line)
@@ -278,7 +323,7 @@ def _emit(args: argparse.Namespace, payload: dict | None, human_lines: list[str]
 def cmd_build(args: argparse.Namespace) -> int:
     Y, B = _cover_from_args(args)
     if args.dot:
-        _write(args.dot, to_dot(Y))
+        _write(args.dot, lambda write: write(to_dot(Y)))
     _emit(
         args,
         {"vertices": Y.vertex_count, "edges": Y.edge_count, "rank": B.rank},
@@ -315,7 +360,10 @@ def cmd_move(args: argparse.Namespace) -> int:
     cert = move_vector(
         Y, B, v, max_candidates=args.max_candidates, seed=args.seed, depth=args.depth
     )
-    payload = {**certificate_to_json(cert, Y), "verified": True} if _writes_json(args) else None
+    payload = None
+    if _writes_json(args):  # the writer renders the matrix key from the columns
+        bare = certificate_to_json(dataclasses.replace(cert, matrix=[]), Y)
+        payload = {**bare, "matrix": cert.matrix, "verified": True}
     _emit(
         args,
         payload,
@@ -343,10 +391,13 @@ def cmd_slide(args: argparse.Namespace) -> int:
         L = lifted_action_formula(s, Y, B)
     except DoesNotLift as exc:
         raise ConfigError(str(exc)) from exc
-    payload = lifted_slide_to_json(L)
     lines = [f"petal={s.j} ell={ell.to_string()!r} rank={B.rank}"]
-    # the JSON rows are each entry's str text
-    lines.extend(" ".join(row) for row in payload["matrix"])
+    payload = None
+    if args.json:  # lifted_slide_to_json's keys, with the matrix as columns for the writer
+        payload = {"petal": s.j, "ell": ell.to_string(), "ell_class": linalg.vector_to_json(L.ell_class),
+                   "matrix": linalg.ColumnMatrix(L.columns)}
+    else:  # the JSON rows are each entry's str text
+        lines.extend(" ".join(row) for row in linalg.columns_to_json(L.columns))
     _emit(args, payload, lines)
     return EXIT_OK
 

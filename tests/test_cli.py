@@ -253,6 +253,73 @@ def test_output_builds_no_dense_rows(argv, capsys, monkeypatch):
     assert run(capsys, *argv) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["move", "--group", "symmetric:3", "--n", "3", "--vector-word", "a3", "--json"],
+    ["move", "--group", "dihedral:8", "--n", "3", "--vector=1/2,0,-3/4" + ",0" * 29 + ",-7", "--json"],
+    ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a3.a2^-1", "--json"],
+], ids=["move symmetric", "move dihedral", "slide"])
+def test_json_builds_no_str_rows(argv, tmp_path, capsys, monkeypatch):
+    """move --json, with and without --out, and slide --json print the same
+    bytes with linalg.columns_to_json made to raise: the writer renders the
+    matrix key from the columns."""
+    out_path = tmp_path / "cert.json"
+    argv_out = [*argv, "--out", str(out_path)] if argv[0] == "move" else argv
+    expected = run(capsys, *argv), run(capsys, *argv_out)
+    assert expected[0][0] == 0
+
+    def rows(*args):
+        raise RuntimeError("str rows built")
+
+    monkeypatch.setattr(coverslide.linalg, "columns_to_json", rows)
+    if argv[0] == "move":
+        out_path.unlink()
+    assert (run(capsys, *argv), run(capsys, *argv_out)) == expected
+    if argv[0] == "move":
+        assert out_path.read_text() + "\n" == expected[0][1]
+
+
+class RecordingStdout:
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_is_written_as_it_is_rendered(monkeypatch):
+    """move --json on cyclic:128 reaches stdout as many writes of at most
+    64 KiB each, which make up the whole document."""
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["move", "--group", "cyclic:128", "--n", "3", "--vector-word", "a3", "--json"]) == 0
+    text = "".join(stdout.writes)
+    assert len(text) == 734_547 + 1 and text.endswith("}\n")  # the document, then a newline
+    assert max(map(len, stdout.writes)) <= 64 * 1024
+    assert len(stdout.writes) > 257  # at least one per matrix row
+    assert json.loads(text)["verified"] is True
+
+
+def test_memory_error_mid_document_exit_7(capsys, monkeypatch):
+    """Out of memory while the matrix rows are being written: exit 7 and one
+    error line after the part of the document already written."""
+    column_rows = coverslide.linalg.column_rows
+
+    def rows_then_out_of_memory(columns):
+        yield from column_rows(columns)[:5]
+        raise MemoryError
+
+    monkeypatch.setattr(coverslide.linalg, "column_rows", rows_then_out_of_memory)
+    code, out, err = run(capsys, "move", "--group", "cyclic:5", "--n", "3", "--vector-word", "a3", "--json")
+    assert (code, err) == (7, "error: out of memory\n")
+    assert out.startswith("{\n") and '"matrix": [' in out and '"verified"' not in out
+
+
 # --- move ----------------------------------------------------------------------
 
 

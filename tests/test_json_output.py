@@ -6,9 +6,9 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from coverslide import cli
+from coverslide import cli, linalg
 
 KEYS = st.sampled_from(["10", "2", "1", "", "a", "B", "é", '"', "\\"]) | st.text(max_size=6)
 TEXT = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀", "/"]) | st.text()
@@ -123,6 +123,70 @@ def test_writer_raises_rather_than_diverging():
             cli._dumps(obj)
 
 
+class IntSub(int):
+    pass
+
+
+# entry objects a matrix may share between cells: ints of every sign and
+# size, non-integral and negative Fractions, and zeros of both types
+ENTRY_POOL = st.lists(
+    st.integers(-12, 12) | st.integers() | st.integers(10**20, 10**30).map(lambda x: -x)
+    | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+    | st.sampled_from([0, Fraction(0), Fraction(-1, 2), Fraction(22, 7)]),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def column_matrices(draw):
+    """A ColumnMatrix of size 0..12 whose columns, empty ones included, hold
+    entries drawn from a small pool, so one object recurs in many cells."""
+    pool = draw(ENTRY_POOL)
+    r = draw(st.integers(0, 12))
+    cells = st.dictionaries(st.integers(0, r - 1), st.sampled_from(pool), max_size=r) if r else st.just({})
+    return linalg.ColumnMatrix(draw(st.lists(cells, min_size=r, max_size=r)))
+
+
+@st.composite
+def matrix_payloads(draw):
+    """One or two matrices nested 0..3 deep in dicts and lists, next to
+    string lists that the payload holds more than once."""
+    strings = draw(st.lists(PRINTABLE | TEXT, max_size=4))
+    obj = draw(column_matrices())
+    for kind in draw(st.lists(st.sampled_from(["dict", "list", "pair"]), max_size=3)):
+        if kind == "dict":
+            obj = {"matrix": obj, "rows": [strings, strings], "a": strings}
+        elif kind == "list":
+            obj = [strings, obj, strings]
+        else:
+            obj = {"m": obj, "n": [draw(column_matrices()), strings]}
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_payloads())
+@example({"m": linalg.ColumnMatrix([{0: -1, 2: -2}, {}, {1: Fraction(-1, 2), 2: -1}])})  # hash(-1) == hash(-2)
+def test_column_matrices_match_their_dense_rows(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True, default=dense_rows)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "3", IntSub(3)], ids=repr)
+def test_column_matrix_entry_of_another_type_writes_nothing(bad):
+    m = linalg.ColumnMatrix([{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: bad}])
+    writes = []
+    with pytest.raises(TypeError):
+        cli._dump(m, "", writes.append, {})
+    assert writes == []
+    with pytest.raises(TypeError):
+        cli._dumps({"a": ["x"], "matrix": m})
+
+
+def dense_rows(obj):
+    if type(obj) is linalg.ColumnMatrix:
+        return linalg.columns_to_json(obj.columns)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 PAYLOAD_RUNS = {
     "build": ["build", "--group", "dihedral:4", "--n", "2"],
     "verify-cw": ["verify-cw", "--group", "elementary_abelian:2,3", "--n", "3"],
@@ -146,7 +210,10 @@ def test_cli_payloads_match_json_dumps(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_emit", recording_emit)
     assert cli.main([*argv, "--json"]) == 0
     (payload,) = payloads
-    assert capsys.readouterr().out == dumps(payload) + "\n"
+    # move and slide hand the writer their matrix as columns; the stdlib still
+    # writes every reference byte, from the dense str rows of those columns
+    reference = json.dumps(payload, indent=2, sort_keys=True, default=dense_rows)
+    assert capsys.readouterr().out == reference + "\n"
     if argv[0] == "verify-cw" and "elementary_abelian" in argv[2]:
         assert payload["isotypic"]["projectors"]
 
