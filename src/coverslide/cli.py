@@ -26,11 +26,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import random
 import re
 import sys
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
@@ -303,12 +305,13 @@ def _writes_json(args: argparse.Namespace) -> bool:
     return bool(args.json or args.out)
 
 
-def _emit(args: argparse.Namespace, payload: dict | None, human_lines: list[str]) -> None:
-    """Print the payload's JSON with ``--json``, else the human lines; with
-    ``move --out``, first write the same JSON text to that file.  The JSON
-    is written as it is rendered, a piece at a time, and never held whole;
-    with both ``--out`` and ``--json`` it is rendered once for each.  The
-    payload is ``None`` when no JSON is written."""
+def _emit(args: argparse.Namespace, payload: dict | None, human_lines: Iterable[str]) -> None:
+    """Print the payload's JSON with ``--json``, else the human lines, each
+    as it is drawn from ``human_lines``; with ``move --out``, first write the
+    same JSON text to that file.  The JSON is written as it is rendered, a
+    piece at a time, and never held whole; with both ``--out`` and
+    ``--json`` it is rendered once for each.  The payload is ``None`` when
+    no JSON is written."""
     if args.out:
         _write(args.out, lambda write: _dump(payload, "", write, {}))
     if args.json:
@@ -396,8 +399,8 @@ def cmd_slide(args: argparse.Namespace) -> int:
     if args.json:  # lifted_slide_to_json's keys, with the matrix as columns for the writer
         payload = {"petal": s.j, "ell": ell.to_string(), "ell_class": linalg.vector_to_json(L.ell_class),
                    "matrix": linalg.ColumnMatrix(L.columns)}
-    else:  # the JSON rows are each entry's str text
-        lines.extend(" ".join(row) for row in linalg.columns_to_json(L.columns))
+    else:  # the JSON rows' texts, joined and printed a row at a time
+        lines = itertools.chain(lines, map(" ".join, linalg.column_texts(L.columns)))
     _emit(args, payload, lines)
     return EXIT_OK
 

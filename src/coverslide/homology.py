@@ -71,12 +71,12 @@ def chain_boundary(Y: CoverGraph, z: Mapping[Edge, Rational]) -> dict[int, Ratio
 class HomologyBasis:
     """Spanning tree, cotree, and fundamental cycle basis of a (sub)graph.
 
-    ``slide_memo`` maps a petal to ``(L, orbit rank, oracle columns)`` for
-    one lifted slide on this basis, which :mod:`coverslide.mover` computes
-    once and reads on every later move and re-check (see
-    ``mover._lifted_slide``).  ``L`` is a :class:`~coverslide.slides.LiftedSlide`,
-    plain data that does not hold the basis, so the basis is freed by
-    reference counting.  ``rank_memo`` is ``(cover, chain, rank)`` for the
+    ``slide_memo`` maps a petal to ``(L, orbit rank, oracle columns, columns
+    of L's matrix less the identity)`` for one lifted slide on this basis,
+    which :mod:`coverslide.mover` computes once and reads on every later move
+    and re-check (see ``mover._lifted_slide``).  ``L`` is a
+    :class:`~coverslide.slides.LiftedSlide`, plain data that does not hold
+    the basis, so the basis is freed by reference counting.  ``rank_memo`` is ``(cover, chain, rank)`` for the
     last whole-group :func:`orbit_rank_of_chain` answer on this basis."""
 
     cover: CoverGraph

@@ -75,7 +75,10 @@ class ColumnMatrix:
     diagonal 1 costs one dict item.  The deck action ``rho(g)``, a lifted
     slide's action and a move certificate's matrix are held this way; the
     products read the columns (:func:`column_products`), and the JSON renders
-    them row by row (:func:`columns_to_json`).
+    them row by row (:func:`columns_to_json`).  A lifted slide's columns are
+    read-only mappings, and a move certificate's matrix is a fresh list of
+    those same objects, shared with the slide memo; the verifier recognises
+    them by identity.
 
     It reads as dense rows: ``len``, iteration and indexing (slices too) give
     a fresh list per row, ``==`` compares by value with dense rows or another
@@ -215,9 +218,14 @@ def columns_to_json(columns: Sequence[Mapping[int, Rational]]) -> list[list[str]
     """:func:`matrix_to_json` of the square matrix whose columns are these
     ``row -> value`` maps of ints and Fractions, read from the maps through
     :func:`column_rows` without building dense rows: the same texts."""
+    return list(column_texts(columns))
+
+
+def column_texts(columns: Sequence[Mapping[int, Rational]]) -> Iterator[list[str]]:
+    """The rows of :func:`columns_to_json`, one at a time, so a caller that
+    writes each row holds one row's texts, not the matrix's."""
     r = len(columns)
     texts: dict[int, str] = {}
-    out = []
     for row in column_rows(columns):
         line = ["0"] * r
         for c, x in row:
@@ -225,5 +233,4 @@ def columns_to_json(columns: Sequence[Mapping[int, Rational]]) -> list[list[str]
             if text is None:
                 text = texts[id(x)] = str(x)
             line[c] = text
-        out.append(line)
-    return out
+        yield line

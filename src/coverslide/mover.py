@@ -23,18 +23,24 @@ Moving many classes on one cover repeats one slide per petal, so the values
 that depend only on (cover, basis, petal, loop) and not on v or on the
 certificate are computed once per basis and kept in ``B.slide_memo``, one
 entry per petal: the formula's :class:`LiftedSlide` (the loop's lifted chain
-and class, the columns and the translate classes), the orbit rank of the
-loop's class and the oracle's columns (kept as the formula's own list once
-they are found equal).  Every check of :func:`verify_certificate` still runs
-on every call, against the certificate's own fields.  A move builds v's
-canonical cycle once; the verifier reads v's coordinates and builds none.
-A certificate's
-``matrix`` is a :class:`~coverslide.linalg.ColumnMatrix` over its own copy of
-the formula's columns.
+and class, the read-only columns and the translate classes), the orbit rank
+of the loop's class, the oracle's columns (kept as the formula's own list
+once they are found equal) and the columns of ``N = M - I``.  Every check of
+:func:`verify_certificate` still runs on every call, against the
+certificate's own fields.  A move builds v's canonical cycle and scales v
+once; the verifier reads v's coordinates and builds no cycle.
+
+A certificate's ``matrix`` is a :class:`~coverslide.linalg.ColumnMatrix`
+over a fresh list of the memo's own column objects, shared and never
+copied: each is a read-only mapping, so an edit raises TypeError, and
+replacing a column or the matrix replaces the action of that certificate
+only.  The verifier recognises the shared columns by identity, and then
+needs neither their type scan nor their comparison with the formula's.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -47,6 +53,7 @@ from .cover import CoverGraph, Edge, Word, free_reduce, lift_word, petal_complem
 from .homology import (
     Chain1,
     HomologyBasis,
+    chain_add,
     chain_of_path,
     chain_to_class,
     class_to_chain,
@@ -101,8 +108,10 @@ class MoveCertificate:
     ``matrix`` is the lifted slide's action as rows, the form the ``matrix``
     JSON key carries, so that a certificate can be re-checked from its JSON
     alone.  :func:`move_vector` puts there a
-    :class:`~coverslide.linalg.ColumnMatrix` over the certificate's own copy
-    of the formula's columns; replacing ``matrix`` replaces the action."""
+    :class:`~coverslide.linalg.ColumnMatrix` over a fresh list of the
+    basis's slide-memo columns, shared and read-only (an edit raises
+    TypeError); :func:`verify_certificate` knows them by identity.
+    Replacing ``matrix``, or a column in its list, replaces the action."""
 
     petal: int
     pairing_edge: Edge
@@ -125,19 +134,24 @@ class CertificateCheck:
 
 def _lifted_slide(
     Y: CoverGraph, B: HomologyBasis, j: int, ell: Word
-) -> tuple[LiftedSlide, int, list]:
+) -> tuple[LiftedSlide, int, list, list]:
     """The slide of petal j along ell on this basis: the formula's
-    :class:`LiftedSlide`, the orbit rank of the loop's class and the oracle's
-    columns.  Read from ``B.slide_memo`` when its petal-j entry is for this
-    cover object and loop, else computed and stored in place of it.  Raises
-    what :func:`make_slide`, the formula or the oracle raise, storing nothing."""
+    :class:`LiftedSlide`, the orbit rank of the loop's class, the oracle's
+    columns and the columns of ``N = M - I``, M the formula's matrix, which
+    are empty but for the basis cycles that cross petal j.  Read from
+    ``B.slide_memo`` when its petal-j entry is for this cover object and
+    loop, else computed and stored in place of it.  Raises what
+    :func:`make_slide`, the formula or the oracle raise, storing nothing."""
     entry = B.slide_memo.get(j)
     if entry is None or entry[0].cover is not Y or entry[0].slide.ell != ell:
         L = lifted_action_formula(make_slide(Y.n, j, ell), Y, B)
         oracle = lifted_action_oracle(L.slide, Y, B)
         if oracle == L.columns:
             oracle = L.columns
-        entry = B.slide_memo[j] = (L, orbit_rank_of_chain(Y, B, L.ell_chain), oracle)
+        moved = [dict(col) for col in L.columns]  # N = M - I
+        for k, col in enumerate(moved):
+            chain_add(col, k, -1)
+        entry = B.slide_memo[j] = (L, orbit_rank_of_chain(Y, B, L.ell_chain), oracle, moved)
     return entry
 
 
@@ -252,7 +266,8 @@ def move_vector(
     naming them.  The optional ``loop_cache`` maps petal -> found loop and
     only short-circuits the (v-independent) search, so results are identical
     with or without it.  The formula's columns come from the basis's slide
-    memo (see the module docstring); the certificate gets its own copies.
+    memo (see the module docstring); the certificate shares them, in a list
+    of its own.  v is scaled to ints once, for the move and its self-check.
     A :class:`ValueError` names a bad depth, or an entry of v that is not an
     int or a Fraction.
     """
@@ -281,17 +296,17 @@ def move_vector(
         # the search accepts only full rank; the self-check recomputes it
         orbit_rank_value=Y.group.order,
         increment=increment,
-        matrix=linalg.ColumnMatrix([dict(col) for col in L.columns]),
+        matrix=linalg.ColumnMatrix(list(L.columns)),
         iterates_checked=depth,
     )
-    check = verify_certificate(Y, B, v, cert)
+    check = verify_certificate(Y, B, v, cert, _scaled_v=(den, w))
     if not check:
         raise CertificateFailed(check.failures)
     return cert
 
 
 def verify_certificate(
-    Y: CoverGraph, B: HomologyBasis, v: Sequence, cert: MoveCertificate
+    Y: CoverGraph, B: HomologyBasis, v: Sequence, cert: MoveCertificate, *, _scaled_v=None
 ) -> CertificateCheck:
     """Recheck every certificate invariant from scratch.
 
@@ -319,18 +334,29 @@ def verify_certificate(
     Fraction, or a v whose length is not the rank, raises
     :class:`ValueError`.
 
+    A certificate from :func:`move_vector` holds the slide memo's own
+    read-only columns, which the verifier recognises by identity, column by
+    column: those are exact and are the formula's, so their type scan and
+    the "matrix vs formula" comparison are skipped, and "increment
+    consistent" and the iterate check become ``N b == s`` and ``N s == 0``
+    with ``N = M_L - I``, whose columns are empty but for the cycles that
+    cross petal j.  Any other matrix (dense rows, a replaced column, another
+    basis's columns) takes the full route, with the same failure names.
+    ``_scaled_v`` is ``(den, b)`` when the caller has already scaled v, as
+    :func:`move_vector`'s self-check has; it is trusted, not recomputed.
+
     The values that depend only on the cover, the basis, the petal and the
     loop are computed once per basis and read from ``B.slide_memo`` on later
-    calls: the loop's lifted class, its orbit rank and the formula's and the
-    oracle's columns.  Every check still runs on every call, against the
-    certificate's own fields.
+    calls: the loop's lifted class, its orbit rank, the formula's and the
+    oracle's columns and N.  Every check still runs on every call, against
+    the certificate's own fields.
     """
     failures: list[str] = []
     order = Y.group.order
     r = B.rank
     j = cert.petal
     v = list(v)
-    den, w = _scaled(v)
+    den, w = _scaled(v) if _scaled_v is None else _scaled_v
     ell, is_word = cert.ell, isinstance(cert.ell, Word)
 
     property1 = type(j) is int and 1 <= j <= Y.n and is_word and all(i != j for i, _ in ell)
@@ -343,9 +369,18 @@ def verify_certificate(
 
     if len(w) != r:
         raise ValueError(f"coordinate vector has length {len(w)}, expected {r}")
+    lifted = _lifted_slide(Y, B, j, ell) if property1 and closed else None
+    shared = False
     if type(cert.matrix) is linalg.ColumnMatrix:
         columns, square = cert.matrix.columns, True
-        if not {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES:
+        # the memo's own read-only columns are exact and are the formula's
+        shared = (
+            lifted is not None
+            and len(columns) == r
+            and all(map(operator.is_, columns, lifted[0].columns))
+        )
+        exact = shared or {type(x) for col in columns for x in col.values()} <= linalg.EXACT_TYPES
+        if not exact:
             columns, square = None, False
     else:
         columns, square = _matrix_nonzeros(cert.matrix, r)
@@ -356,10 +391,9 @@ def verify_certificate(
     if not (is_edge and pe[1] == j and sum(c * z.get(pe, 0) for c, z in zip(w, B.cycles) if c)):
         failures.append("pairing edge")
 
-    lifted = _lifted_slide(Y, B, j, ell) if property1 and closed else None
     if closed:
         if lifted is not None:
-            L, rank_value, oracle = lifted
+            L, rank_value, oracle, moved = lifted
             ell_class = L.ell_class
         else:
             ell_chain = chain_of_path(lift_word(Y, ell, 0))
@@ -387,7 +421,15 @@ def verify_certificate(
         ]
 
     product = None
-    if lifted is not None:
+    if shared:
+        # M = I + N, so M b == b + s iff N b == s; N is nonzero only on the
+        # columns of the cycles that cross petal j
+        product = linalg.column_products(moved, w)
+        if oracle is not L.columns and columns != oracle:
+            failures.append("matrix vs oracle")
+        if s is None or len(s) != r or product != s:
+            failures.append("increment consistent")
+    elif lifted is not None:
         # formula column k is e_k + the petal-j increment of cycle k, so by
         # linearity slide_increment(L, class_to_chain(B, w)) == M_L w - w
         mw = linalg.column_products(L.columns, w)
@@ -407,7 +449,7 @@ def verify_certificate(
 
     depth = cert.iterates_checked
     if type(depth) is int and 1 <= depth <= MAX_ITERATE_DEPTH and len(columns or ()) == r:
-        failure = _iterate_failure(cert, v, columns, w, s, product)
+        failure = _iterate_failure(cert, v, columns, w, s, product, moved if shared else None)
         if failure:
             failures.append(failure)
     else:
@@ -477,6 +519,7 @@ def _iterate_failure(
     b: list,
     s: list | None,
     product: list | None = None,
+    moved: list | None = None,
 ) -> str | None:
     """The first failed check (``"iterate closed form"`` or ``"iterates
     distinct"``) of ``M^d v = v + d * increment`` for d in 1..D, with M the
@@ -486,12 +529,18 @@ def _iterate_failure(
     increment is not a list of ints and Fractions.  By induction ``M^d b = b +
     d s`` for d in 1..D iff ``M b = b + s`` and (if D >= 2) ``M s = s``, and
     those iterates are distinct iff s != 0: two column products, the first
-    skipped when ``product`` already holds ``M b``.  s is read through
-    ``zip``, trimmed to r and failing if short.  v is unread, there for a
-    dense reference check to stand in for this one."""
+    skipped when ``product`` already holds ``M b``.  With ``moved``, the
+    columns of ``N = M - I``, ``product`` is ``N b`` and the two checks are
+    ``N b == s`` and ``N s == 0``.  s is read through ``zip``, trimmed to r
+    and failing if short.  v is unread, there for a dense reference check to
+    stand in for this one."""
     if s is None:
         return "iterate closed form"
     s = s[: len(b)]
+    if moved is not None:
+        if product != s or cert.iterates_checked >= 2 and any(linalg.column_products(moved, s)):
+            return "iterate closed form"
+        return None if any(s) else "iterates distinct"
     if product is None:
         product = linalg.column_products(columns, b)
     if product != [x + y for x, y in zip(b, s)]:

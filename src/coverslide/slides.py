@@ -34,6 +34,7 @@ hold the basis, so the basis can keep it (``HomologyBasis.slide_memo``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import linalg
 from .cover import CoverGraph, Word, free_reduce, lift_word
@@ -43,7 +44,6 @@ from .homology import (
     NotACycle,
     _sparse_coords,
     chain_add,
-    chain_boundary,
     chain_of_path,
     chain_to_class,
     translate_chain,
@@ -108,8 +108,12 @@ class LiftedSlide:
     """A slide's lift to one cover and its action on H1, in the coordinates
     of one basis.
 
-    ``columns[k]`` maps row -> nonzero entry of the image of basis cycle k;
-    ``matrix`` is the :class:`~coverslide.linalg.ColumnMatrix` over them.
+    ``columns[k]`` maps row -> nonzero entry of the image of basis cycle k,
+    a read-only :class:`types.MappingProxyType` that the formula alone can
+    write; ``matrix`` is the :class:`~coverslide.linalg.ColumnMatrix` over
+    them.  A move certificate's matrix holds these same column objects (a
+    fresh list of them, shared, never copied), and the verifier recognises
+    them by identity.
     ``translate_classes`` maps each vertex g at which a basis cycle crosses
     petal j to the nonzero coordinates of [g . ell~]; a class's canonical
     cycle is a combination of basis cycles, so it crosses petal j at no other
@@ -139,8 +143,9 @@ def lifted_action_formula(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis)
     """Action of the lifted slide on H1 by the cocycle formula.
 
     Column k is ``e_k + sum_g xi_{(g,j)}(z_k) * [g . ell~]``, summing only
-    over the petal-j edges in the support of the basis cycle ``z_k``; the
-    class of each translate it visits fills ``translate_classes``.
+    over the petal-j edges in the support of the basis cycle ``z_k``, held
+    read-only; the class of each translate it visits fills
+    ``translate_classes``.
     """
     ell_chain = _lift_chain_or_raise(s, Y)
     L = LiftedSlide(
@@ -158,7 +163,7 @@ def lifted_action_formula(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis)
                 translates[g] = _sparse_coords(B, translate_chain(Y, g, ell_chain))
         col = _petal_increment(L, zk)
         chain_add(col, k, 1)
-        L.columns.append(col)
+        L.columns.append(MappingProxyType(col))
     return L
 
 
@@ -177,24 +182,31 @@ def lifted_action_oracle(s: SlideAutomorphism, Y: CoverGraph, B: HomologyBasis) 
     adds only its own cotree coordinate.  So column k is
     ``e_k + sum c * coords(img(e) - e)`` over the moved edges e of the basis
     cycle ``z_k`` with coefficient c, the same column as pushing every edge
-    through the map.  Each moved edge, in edge order, is lifted by path
-    lifting, its image checked against the edge's boundary and checked to
-    stay in the basis's graph (else :class:`ValueError`).
+    through the map.  Each moved edge, in edge order, is checked to have an
+    image ending at the edge's head, the lift of the word at g ending at g
+    times the word's image (else :class:`NotACycle` at the smaller of the
+    two vertices, where ``img(e) - e`` has its boundary), then lifted by path
+    lifting and checked to stay in the basis's graph (else
+    :class:`ValueError`).
     """
     _lift_chain_or_raise(s, Y)
     images = {i: apply_automorphism(s, Word.generator(i)) for i in range(1, Y.n + 1)}
     moved = {i: w for i, w in images.items() if w != Word.generator(i)}
+    # the lift of a word at g ends at g times the word's image
+    ends = {i: Y.image_of(w) for i, w in moved.items()}
+    mul = Y.group.mul
     displacement: dict = {}
     for e in B.edges:
         if e[1] not in moved:
             continue
-        # img(e) - e: a cycle exactly when img(e) has the boundary of e, and
-        # in the basis's graph exactly when img(e) is, since e is
+        # img(e) - e: a cycle exactly when img(e) ends at e's head, its
+        # boundary being end - head, and in the basis's graph exactly when
+        # img(e) is, since e is
+        end, head = mul[e[0]][ends[e[1]]], Y.edge_head(e)
+        if end != head:
+            raise NotACycle(min(end, head))
         moved_by = chain_of_path(lift_word(Y, moved[e[1]], e[0]))
         chain_add(moved_by, e, -1)
-        bd = chain_boundary(Y, moved_by)
-        if bd:
-            raise NotACycle(min(bd))
         if not moved_by.keys() <= B.edge_set:
             raise ValueError(f"image of edge {e} leaves the graph of this basis")
         displacement[e] = _sparse_coords(B, moved_by)

@@ -183,7 +183,7 @@ def reference_verify_certificate(Y, B, v, cert):
     lifted = mover._lifted_slide(Y, B, j, ell) if property1 and closed else None
     if closed:
         if lifted is not None:
-            L, rank_value, oracle = lifted
+            L, rank_value, oracle = lifted[:3]
             ell_class = L.ell_class
         else:
             ell_chain = chain_of_path(lift_word(Y, ell, 0))

@@ -462,7 +462,7 @@ def test_move_open_word_rejected(capsys):
 
 def test_move_certificate_failed_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        mover, "verify_certificate", lambda *a: CertificateCheck(False, ("property 3", "pairing edge"))
+        mover, "verify_certificate", lambda *a, **k: CertificateCheck(False, ("property 3", "pairing edge"))
     )
     code, out, err = run(
         capsys, "move", "--group", "cyclic:3", "--images", "1,1,0", "--vector-word", "a3"
@@ -507,6 +507,27 @@ def test_slide_matrix(capsys):
     assert data["petal"] == 1
     assert data["ell"] == "a2.a2"
     assert len(data["matrix"]) == 5
+
+
+def test_human_slide_prints_one_joined_row_at_a_time(capsys, monkeypatch):
+    """Human slide prints the --json matrix rows, in order, each joined by
+    spaces, one write per row and with linalg.columns_to_json made to raise:
+    no list of every row's texts is built."""
+    argv = ["slide", "--group", "symmetric:3", "--n", "3", "--petal", "1", "--ell", "a2.a3.a2^-1"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    rows = [" ".join(row) for row in json.loads(out)["matrix"]]
+    assert len(set(rows)) == len(rows) > 1
+
+    def whole(*args):
+        raise RuntimeError("every row's texts built")
+
+    monkeypatch.setattr(coverslide.linalg, "columns_to_json", whole)
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    lines = [w for w in stdout.writes if w != "\n"]
+    assert lines == [f"petal=1 ell='a2.a3.a2^-1' rank={len(rows)}", *rows]
 
 
 def test_slide_does_not_lift_exit_2(capsys):

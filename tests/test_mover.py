@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import operator
 import weakref
 from fractions import Fraction
 from itertools import islice
@@ -1011,6 +1012,62 @@ def test_column_form_checks_and_renders_as_dense_rows(cover, data):
     assert text == json.dumps(certificate_to_json(cert, Y), indent=2, sort_keys=True)
 
 
+def _matrix_forms(c, formula):
+    """The certificate with its square matrix as three forms of the same
+    action: a ColumnMatrix holding the memo's own column object wherever its
+    column equals the formula's (all of them when untampered), one of
+    private dicts, and the dense rows rebuilt from the JSON texts.  Empty
+    unless the matrix is r rows of r entries, each an int, a Fraction or
+    equal to 0."""
+    m, r = c.matrix, len(formula)
+    if not (len(m) == r and all(len(row) == r for row in m)):
+        return []
+    columns = _reference_columns(list(m), r)
+    if columns is None:
+        return []
+    shared = [f if col == f else col for col, f in zip(columns, formula)]
+    rows = json.loads(json.dumps(linalg.columns_to_json(columns)))
+    return [
+        ("shared", dataclasses.replace(c, matrix=ColumnMatrix(shared))),
+        ("private", dataclasses.replace(c, matrix=ColumnMatrix([dict(col) for col in columns]))),
+        ("from JSON", dataclasses.replace(c, matrix=[[parse_rational(x) for x in row] for row in rows])),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_COVERS), st.data())
+def test_shared_columns_check_as_private_and_dense_copies(cover, data):
+    """The verifier's shared-column route gives the CertificateCheck of the
+    full route: on the certificate and every tampered, reshaped and inexact
+    copy, the matrix as the memo's shared columns, as private dicts and as
+    dense rows rebuilt from JSON get the same check."""
+    Y, B, loop_cache = cover
+    v = data.draw(st.lists(rationals, min_size=B.rank, max_size=B.rank))
+    assume(any(v))
+    cert = move_vector(Y, B, v, loop_cache=loop_cache)
+    formula = B.slide_memo[cert.petal][0].columns
+    assert all(map(operator.is_, cert.matrix.columns, formula))
+    routes = set()
+    for name, c in _variants(cert, v):
+        forms = _matrix_forms(c, formula)
+        checks = [verify_certificate(Y, B, v, f) for _, f in forms]
+        assert len(set(checks)) <= 1, (name, checks)
+        if forms:
+            routes.add(all(map(operator.is_, forms[0][1].matrix.columns, formula)))
+        if c.matrix is cert.matrix:
+            assert verify_certificate(Y, B, v, c) == checks[0], name
+    assert routes == {True, False}
+    # the memo's columns, one short or with one more: not the formula's matrix
+    for columns in (formula[:-1], [*formula, {}]):
+        check = verify_certificate(Y, B, v, dataclasses.replace(cert, matrix=ColumnMatrix(columns)))
+        assert {"matrix vs formula", "iterate closed form"} <= set(check.failures)
+    # a cycle the slide fixes, with a zero increment, reaches the last check
+    k = next(k for k, col in enumerate(formula) if dict(col) == {k: 1})
+    fixed = dataclasses.replace(cert, increment=[0] * B.rank)
+    checks = {verify_certificate(Y, B, unit_vector(B.rank, k), f) for _, f in _matrix_forms(fixed, formula)}
+    assert len(checks) == 1 and "iterates distinct" in checks.pop().failures
+
+
 def _certificate_matrix(Y, B):
     return move_vector(Y, B, unit_vector(B.rank, 0)).matrix
 
@@ -1107,11 +1164,16 @@ def test_editing_a_row_read_from_the_matrix_changes_nothing(klein_n3_cover):
     assert verify_certificate(Y, B, v, cert).ok
     assert L.columns == before and B.slide_memo[cert.petal][0] is L
     assert json.dumps(certificate_to_json(cert, Y)) == text
-    # the certificate's columns are its own: tampering with them fails that
+    # the certificate shares the memo's read-only columns: an edit in place
+    # raises, and a column replaced in the certificate's list fails that
     # certificate only
-    cert.matrix.columns[0][0] += 1
+    with pytest.raises(TypeError):
+        cert.matrix.columns[0][0] += 1
+    other = move_vector(Y, B, v)
+    cert.matrix.columns[0] = {**cert.matrix.columns[0], 0: cert.matrix.columns[0].get(0, 0) + 1}
     assert "matrix vs formula" in verify_certificate(Y, B, v, cert).failures
-    assert L.columns == before and verify_certificate(Y, B, v, move_vector(Y, B, v)).ok
+    assert L.columns == before and B.slide_memo[cert.petal][0] is L
+    assert verify_certificate(Y, B, v, other).ok and verify_certificate(Y, B, v, move_vector(Y, B, v)).ok
 
 
 # --- the column-product kernel and the all-int fast paths ---------------------------
