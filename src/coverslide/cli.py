@@ -11,7 +11,8 @@ matrix goes out row by row from its column nonzeros.
 
 ``move --vector`` takes comma-separated rationals, also with a negative
 first coordinate (``--vector -1,0,...``).  ``--depth`` must be in
-1..``mover.MAX_ITERATE_DEPTH``.
+1..``mover.MAX_ITERATE_DEPTH``.  A cover may have at most
+:data:`MAX_COVER_EDGES` edges (|G| times the petal count).
 
 Exit codes: 0 success, 1 failed verification or selftest (for ``move``: the
 certificate failed self-verification, and the failed checks are named on
@@ -100,6 +101,9 @@ EXIT_RANK_TOO_SMALL = 5
 EXIT_SEARCH_EXHAUSTED = 6
 EXIT_OUT_OF_MEMORY = 7
 EXIT_STDOUT_CLOSED = 8
+# the most edges, |G| * n, a cover may have: about 1.6 times the 10,240 of
+# elementary_abelian:2,10 with n = 10, the largest cover of the ladder
+MAX_COVER_EDGES = 1 << 14
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')  # what JSON leaves unescaped
 
 
@@ -154,10 +158,18 @@ def _resolve_images(group: FiniteGroup, images_arg: str | None, n: int | None) -
 
 
 def _cover_from_args(args: argparse.Namespace) -> tuple[CoverGraph, HomologyBasis]:
-    """The cover named by --group/--n/--images and its cycle basis."""
+    """The cover named by --group/--n/--images and its cycle basis.  A cover
+    of more than ``MAX_COVER_EDGES`` edges, |G| times the petal count of
+    ``--images`` or else ``--n``, is refused before anything is built."""
     if args.group is None:
         raise ConfigError("--group is required")
     group = _load_group(args.group)
+    petals = args.n if args.images is None else args.images.count(",") + 1
+    if petals is not None and group.order * petals > MAX_COVER_EDGES:
+        raise ConfigError(
+            f"{petals} petals over a group of order {group.order} make "
+            f"{group.order * petals} edges, more than {MAX_COVER_EDGES}"
+        )
     Y = build_cover(group, _resolve_images(group, args.images, args.n))
     return Y, cycle_basis(Y)
 
@@ -247,6 +259,9 @@ def _dump(obj, indent: str, write, memo: dict) -> None:
         try:
             body = '"' + ('"' + sep + '"').join(obj) + '"'
         except TypeError:  # not a list of strings
+            if set(map(type, obj)) == {int}:  # the texts json.dumps gives exact ints
+                write("[\n" + inner + sep.join(map(str, obj)) + "\n" + indent + "]")
+                return
             lead = "[\n" + inner
             for x in obj:
                 write(lead)
@@ -597,7 +612,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def _add_cover_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="builtin family (e.g. cyclic:5, elementary_abelian:2,2, dihedral:4, symmetric:3) or a JSON file")
-    p.add_argument("--n", type=int, help="rose rank (petal count)")
+    p.add_argument("--n", type=int, help=f"rose rank (petal count); |G| * n at most {MAX_COVER_EDGES}")
     p.add_argument("--images", help="comma-separated petal images: element indices or labels")
     p.add_argument("--json", action="store_true", help="emit JSON on stdout")
 

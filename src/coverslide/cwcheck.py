@@ -9,11 +9,12 @@ For deck groups of exponent 2 (all characters rational, +-1 valued) the
 isotypic decomposition is computed explicitly via the averaging projectors
 P_chi = (1/|G|) sum chi(g) rho(g).  Since g = g^-1, the row of P_chi at the
 cotree edge (u, i) is chi(u)/|G| * W_i, with W_i[k] = sum_h chi(h) z_k[(h, i)]
-over the basis cycles z_k: n petal rows, read off the cycles' nonzeros,
-give every row, and each dimension is the exact sparse rank of those n
-integer rows.  The report holds each projector as rows in which equal rows
-are one list: 2n distinct rows per character.  The dense projectors are
-built only when first read, and JSON output renders each distinct row once.
+over the basis cycles z_k: n petal rows, filled as dense int lists from the
+cycles' nonzeros, give every row, and each dimension is the exact sparse
+rank of those n integer rows.  The report holds the petal rows; its
+projector rows (2n distinct Fraction rows per character, equal rows one
+list) and dense projectors are built only when first read, and JSON output
+renders each distinct row once, from the petal rows.
 
 Elevations — closed lifts of w^k where k is the order of w's image — and the
 rank obstruction they satisfy are also provided: the preimage of a loop with
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from . import linalg
 from .cover import CoverGraph, Word, commutator_word, lift_word
@@ -66,16 +68,51 @@ def verify_chevalley_weil(Y: CoverGraph, B: HomologyBasis) -> CharacterReport:
     return CharacterReport(order=order, rank=B.rank, traces=traces, verdict=verdict)
 
 
+class _Memo(dict):
+    """``x -> make(x)``, each value made on its first lookup."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, x):
+        value = self[x] = self.make(x)
+        return value
+
+
 @dataclass(frozen=True)
 class IsotypicReport:
-    """``rows`` holds each projector's rows, where equal rows are one list
-    that must not be modified: the row at cotree edge (u, i) is the list for
-    (chi(u), i).  ``projectors`` is built on first read, and JSON output
-    renders each distinct row once."""
+    """``petal_rows`` holds, for each character, its n petal rows
+    W_1..W_n as dense int lists, which must not be modified: the projector's
+    row at cotree edge (u, i) is chi(u)/|G| * W_i.  ``rows`` and
+    ``projectors`` are built on first read, and JSON output renders each
+    distinct row once, from the petal rows."""
 
     characters: tuple  # each character as its +-1 value tuple over all elements
     dims: dict  # character -> dimension of its isotypic component
-    rows: dict  # character -> projector rows, equal rows shared
+    petal_rows: dict  # character -> [W_1, ..., W_n], dense int lists
+    cotree: tuple  # the basis's cotree edges (u, i), one per coordinate
+    order: int  # |G|
+
+    @cached_property
+    def rows(self) -> dict:
+        """character -> projector rows, where equal rows are one list that
+        must not be modified: the row at cotree edge (u, i) is the list for
+        (chi(u), i).  Entries are Fractions, except that zeros are int 0."""
+        # one Fraction per value, shared by every cell that holds it
+        entry = _Memo(lambda x: Fraction(x, self.order) if x else 0).__getitem__
+        return self._shared_rows(lambda sign, w: list(map(entry, map(sign.__mul__, w))))
+
+    def _shared_rows(self, line) -> dict:
+        """character -> one row per cotree edge (u, i): ``line(chi(u), W_i)``,
+        made once per sign and petal and shared by the rows that take it."""
+        heads = [u for u, _ in self.cotree]
+        petals = [i for _, i in self.cotree]
+        out = {}
+        for chi, petal_rows in self.petal_rows.items():
+            keys = list(zip(map(chi.__getitem__, heads), petals))
+            lines = {(sign, i): line(sign, petal_rows[i - 1]) for sign, i in set(keys)}
+            out[chi] = list(map(lines.__getitem__, keys))
+        return out
 
     @cached_property
     def projectors(self) -> dict:
@@ -107,28 +144,20 @@ def isotypic_decomposition(Y: CoverGraph, B: HomologyBasis) -> IsotypicReport:
     except that zero entries are int 0.
     """
     chars = _exponent_two_characters(Y)
-    order, r = Y.group.order, B.rank
-    terms = [(k, i, h, c) for k, zk in enumerate(B.cycles) for (h, i), c in zk.items()]
+    n, r = Y.n, B.rank
+    # cotree petals run 1..n
+    terms = [(k, i - 1, h, c) for k, zk in enumerate(B.cycles) for (h, i), c in zk.items()]
     dims = {}
-    shared_rows = {}
+    petal_rows = {}
     for chi in chars:
-        petal_rows: list[dict] = [{} for _ in range(Y.n + 1)]
+        W = [[0] * r for _ in range(n)]
         for k, i, h, c in terms:
-            row = petal_rows[i]
-            row[k] = row.get(k, 0) + chi[h] * c
-        petal_rows = [{k: x for k, x in row.items() if x} for row in petal_rows]
-        dims[chi] = linalg.sparse_rank(petal_rows[1:])
-        # one Fraction per value, shared by every cell that holds it
-        fractions: dict[int, Fraction] = {}
-        lines = {}
-        for i, row in enumerate(petal_rows[1:], 1):  # cotree petals run 1..n
-            for sign in (1, -1):
-                line = lines[sign, i] = [0] * r
-                for k, x in row.items():
-                    x *= sign
-                    line[k] = fractions.get(x) or fractions.setdefault(x, Fraction(x, order))
-        shared_rows[chi] = [lines[chi[u], i] for u, i in B.cotree]
-    return IsotypicReport(characters=tuple(chars), dims=dims, rows=shared_rows)
+            W[i][k] += chi[h] * c
+        dims[chi] = linalg.sparse_rank(dict(compress(enumerate(w), w)) for w in W)
+        petal_rows[chi] = W
+    return IsotypicReport(
+        characters=tuple(chars), dims=dims, petal_rows=petal_rows, cotree=B.cotree, order=Y.group.order
+    )
 
 
 def elevation_class(Y: CoverGraph, B: HomologyBasis, w: Word, start: int) -> list:
@@ -201,17 +230,15 @@ def character_report_to_json(report: CharacterReport) -> dict:
 
 
 def isotypic_report_to_json(report: IsotypicReport) -> dict:
-    """The report's JSON payload.  Each distinct row object of a projector is
-    rendered once, and every row that shares it gets the same list of texts;
-    the report keeps its rows alive, so an id names one row throughout."""
-    values: dict[int, str] = {}
-    projectors = []
-    for chi in report.characters:
-        distinct = {id(row): row for row in report.rows[chi]}
-        texts = {key: linalg.row_to_json(row, values) for key, row in distinct.items()}
-        projectors.append([texts[id(row)] for row in report.rows[chi]])
+    """The report's JSON payload.  Each petal row W_i is rendered once per
+    sign that its cotree edges take, by one ``map`` over its ints, and every
+    projector row for that sign and petal gets the same list of texts; each
+    distinct value x has one text per sign, ``str(Fraction(sign * x, |G|))``."""
+    order = report.order
+    texts = {1: _Memo(lambda x: str(Fraction(x, order))), -1: _Memo(lambda x: str(Fraction(-x, order)))}
+    rendered = report._shared_rows(lambda sign, w: list(map(texts[sign].__getitem__, w)))
     return {
         "characters": [list(chi) for chi in report.characters],
         "dims": [report.dims[chi] for chi in report.characters],
-        "projectors": projectors,
+        "projectors": [rendered[chi] for chi in report.characters],
     }

@@ -8,18 +8,29 @@ to :data:`ASSOCIATIVITY_CHECK_BOUND` by Light's test over a generating set,
 at O(|S| m^2) table lookups with |S| <= log2 m for a group of order m.
 The builtin families build their tables from whole rows (slices, row
 composition, a digit-by-digit recursion) and pass the same validation.
+:func:`builtin_group` keeps the groups it builds for exact-int parameters,
+least recently used out first, while their tables total at most
+:data:`BUILTIN_CACHE_CELLS` cells, so a process validates each such table
+once and every cover of one spec shares it (a group is immutable).  Tables
+from :func:`from_mul_table` and :func:`group_from_json` are never kept.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, permutations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 ASSOCIATIVITY_CHECK_BOUND = 256
 _MAX_BUILTIN_ORDER = 1024
+# the builtin tables kept for reuse hold at most this many cells in total,
+# the table of an order-512 group (about 2 MB); a larger table is built for
+# each call and not kept
+BUILTIN_CACHE_CELLS = 1 << 18
 
 
 class NotAGroup(ValueError):
@@ -59,7 +70,9 @@ class FiniteGroup:
         with ``t = reps[coset[g]]`` the least element of its right coset
         ``A*g``, and ``a`` in A has the F2 coordinates ``code[g]`` over A's
         generators, the first generator the highest bit.  The table lives on
-        the group, so it is freed with it."""
+        the group, so it is freed with it; every user of the group (a kept
+        builtin group's every cover) reads the same lists, which must not be
+        modified."""
         mul = self.mul
         span: dict[int, int] = {0: 0}
         gens: list[int] = []
@@ -288,7 +301,6 @@ def _dihedral(m: int) -> FiniteGroup:
     return from_mul_table(table, labels, trusted=order > ASSOCIATIVITY_CHECK_BOUND)
 
 
-@cache  # at most five tables; a bad k raises and is not cached
 def _symmetric(k: int) -> FiniteGroup:
     if not 1 <= k <= 5:
         raise UnsupportedFamily(f"symmetric({k}): k must be in 1..5")
@@ -312,22 +324,72 @@ _FAMILIES = {
 }
 
 
+class _TableCache:
+    """Groups by key, least recently used first, whose tables total at most
+    :data:`BUILTIN_CACHE_CELLS` cells; a group whose table alone exceeds that
+    is never kept."""
+
+    def __init__(self) -> None:
+        self.cells = 0
+        self.groups: OrderedDict[tuple, FiniteGroup] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> FiniteGroup | None:
+        with self._lock:
+            group = self.groups.get(key)
+            if group is not None:
+                self.groups.move_to_end(key)
+            return group
+
+    def keep(self, key: tuple, group: FiniteGroup) -> FiniteGroup:
+        """Keep ``group`` under ``key`` if its table fits, dropping the least
+        recently used groups to make room, and return the group kept under
+        ``key``: an equal one that another thread kept first, if any."""
+        cells = group.order * group.order
+        if cells > BUILTIN_CACHE_CELLS:
+            return group
+        with self._lock:
+            kept = self.groups.setdefault(key, group)
+            if kept is group:
+                self.cells += cells
+                while self.cells > BUILTIN_CACHE_CELLS:
+                    _, old = self.groups.popitem(last=False)
+                    self.cells -= old.order * old.order
+            return kept
+
+
+_BUILTINS = _TableCache()
+
+
 def builtin_group(family: str, *params: int) -> FiniteGroup:
     """Construct a named group: cyclic(m), elementary_abelian(p, k),
     dihedral(m) of order 2m, or symmetric(k) for k <= 5.  ``trivial`` is an
-    alias for cyclic(1)."""
+    alias for cyclic(1).
+
+    With parameters of type exactly ``int``, the group is kept for later
+    calls with the same normalized name and parameters, which return the
+    same object, within the :data:`BUILTIN_CACHE_CELLS` budget.  Other
+    parameters (``2.0``, ``True``) build the group anew, or raise, on every
+    call, and so does a refused spec."""
     name = family.strip().lower().replace("-", "_")
     if name == "trivial":
         if params:
             raise UnsupportedFamily("trivial takes no parameters")
-        return _cyclic(1)
+        name, params = "cyclic", (1,)
     fn = _FAMILIES.get(name)
     if fn is None:
         raise UnsupportedFamily(f"unknown family {family!r}")
+    # 3.0 == 3 and True == 1 as dict keys, so only exact ints may hit
+    key = (name, params) if all(type(p) is int for p in params) else None
+    if key is not None:
+        group = _BUILTINS.get(key)
+        if group is not None:
+            return group
     try:
-        return fn(*params)
+        group = fn(*params)
     except TypeError as exc:
         raise UnsupportedFamily(f"{family}: bad parameter count {params}") from exc
+    return group if key is None else _BUILTINS.keep(key, group)
 
 
 def builtin_group_from_string(spec: str) -> FiniteGroup:

@@ -186,32 +186,27 @@ def vector_to_json(v: Sequence) -> list[str]:
 def matrix_to_json(a: Matrix) -> list[list[str]]:
     """``str`` of every entry, row by row.
 
-    A row whose entries are all exactly int or Fraction goes through
-    :func:`row_to_json`, with one text per entry object for the whole matrix
-    (the matrix keeps every entry alive, so an id names one value
-    throughout).  Any other row (bool, float, an int subclass, ``None``, str)
+    A row whose entries are all exactly int or Fraction is a copy of
+    ``["0"] * len(row)`` with only its nonzeros rendered (a zero int or
+    Fraction prints as ``0``), with one text per entry object for the whole
+    matrix: the matrix keeps every entry alive, so an id names one value
+    throughout.  Any other row (bool, float, an int subclass, ``None``, str)
     is ``list(map(str, row))``."""
     texts: dict[int, str] = {}
-    return [
-        row_to_json(row, texts) if set(map(type, row)) <= EXACT_TYPES else list(map(str, row))
-        for row in a
-    ]
-
-
-def row_to_json(row: Sequence[Rational], texts: dict[int, str]) -> list[str]:
-    """``str`` of every entry of a row of ints and Fractions: a copy of
-    ``["0"] * len(row)`` with only its nonzeros rendered (a zero int or
-    Fraction prints as ``0``).  Their texts are shared by object id through
-    ``texts``, so the caller keeps every entry it rendered alive for as long
-    as it uses ``texts``."""
-    line = ["0"] * len(row)
-    for c in compress(range(len(row)), row):
-        x = row[c]
-        text = texts.get(id(x))
-        if text is None:
-            text = texts[id(x)] = str(x)
-        line[c] = text
-    return line
+    out = []
+    for row in a:
+        if not set(map(type, row)) <= EXACT_TYPES:
+            out.append(list(map(str, row)))
+            continue
+        line = ["0"] * len(row)
+        for c in compress(range(len(row)), row):
+            x = row[c]
+            text = texts.get(id(x))
+            if text is None:
+                text = texts[id(x)] = str(x)
+            line[c] = text
+        out.append(line)
+    return out
 
 
 def columns_to_json(columns: Sequence[Mapping[int, Rational]]) -> list[list[str]]:

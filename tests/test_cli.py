@@ -154,6 +154,33 @@ def test_move_depth_over_bound_exit_2():
     assert f"1..{mover.MAX_ITERATE_DEPTH}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--group", "cyclic:2", "--n", "100000000"],
+    ["move", "--group", "elementary_abelian:2,10", "--n", "17", "--vector-word", "a3"],
+    ["verify-cw", "--group", "cyclic:2", "--images", ",".join(["1"] * 8193)],
+    ["slide", "--group", "dihedral:512", "--images", ",".join(["r"] * 17), "--petal", "1"],
+], ids=["--n", "move --n", "--images", "--images by label"])
+def test_edge_count_over_the_cap_exits_2_before_any_build(argv, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a cover over the edge cap was built")
+
+    for name in ("standard_images", "build_cover"):
+        monkeypatch.setattr(cli, name, refused)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"more than {cli.MAX_COVER_EDGES}" in err
+
+
+def test_edge_cap_admits_a_cover_of_exactly_the_cap(capsys, monkeypatch):
+    assert cli.MAX_COVER_EDGES >= 1024 * 10  # every ladder cover, up to (Z/2)^10 with n = 10
+    monkeypatch.setattr(cli, "MAX_COVER_EDGES", 12)
+    assert run(capsys, "build", "--group", "cyclic:3", "--n", "4") == (0, "V=3 E=12 rank=10\n", "")
+    assert run(capsys, "build", "--group", "cyclic:3", "--images", "1,1,1,1")[0] == 0
+    assert run(capsys, "build", "--group", "cyclic:3", "--n", "5")[0] == 2
+    assert run(capsys, "build", "--group", "cyclic:3", "--images", "1,1,1,1,1")[0] == 2
+
+
 def test_closed_stdout_exit_8():
     # the reader takes one byte of a large JSON document and closes the pipe
     src = str(Path(coverslide.__file__).resolve().parent.parent)
@@ -641,6 +668,23 @@ def test_selftest_checks_survive_optimize():
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  slides" in proc.stdout
+
+
+# --- one table per builtin spec -----------------------------------------------------
+
+
+def test_groups_kept_across_commands_match_fresh_tables(capsys):
+    """After move and verify-cw read them (involution_cosets included), the
+    kept groups equal fresh from_mul_table builds of the same tables."""
+    assert run(capsys, "move", "--group", "cyclic:8", "--n", "3", "--vector-word", "a3", "--json")[0] == 0
+    assert run(capsys, "verify-cw", "--group", "elementary_abelian:2,3", "--n", "3", "--json")[0] == 0
+    assert run(capsys, "move", "--group", "elementary_abelian:2,3", "--n", "3", "--vector-word", "a3.a3")[0] == 0
+    for spec, mul in (("cyclic:8", lambda x, y: (x + y) % 8), ("elementary_abelian:2,3", int.__xor__)):
+        G = cli._load_group(spec)
+        assert G is coverslide.builtin_group_from_string(spec)
+        fresh = coverslide.from_mul_table([[mul(x, y) for y in range(G.order)] for x in range(G.order)], G.labels)
+        assert G.mul == fresh.mul and G.inv == fresh.inv
+        assert G.involution_cosets == fresh.involution_cosets
 
 
 # --- one parser per process -------------------------------------------------------

@@ -230,6 +230,28 @@ def test_json_projectors_render_the_dense_projectors(k, seed, extra):
         assert len({id(row) for row in rendered}) == len({id(row) for row in iso.rows[chi]})
 
 
+def test_json_and_dims_read_only_the_petal_rows():
+    """The JSON and the dimensions come from the dense int petal rows W_i:
+    the Fraction rows and the dense projectors are built only when read."""
+    checked = 0
+    for name, Y, B in battery_covers():
+        try:
+            iso = isotypic_decomposition(Y, B)
+        except UnsupportedGroup:
+            continue
+        data = isotypic_report_to_json(iso)
+        assert "rows" not in vars(iso) and "projectors" not in vars(iso), name
+        for chi in iso.characters:
+            W = iso.petal_rows[chi]
+            assert len(W) == Y.n and all(len(w) == B.rank and {type(x) for x in w} <= {int} for w in W)
+            assert iso.dims[chi] == rank(W), name
+            expected = [[str(Fraction(chi[u] * x, Y.group.order)) for x in W[i - 1]] for u, i in B.cotree]
+            assert data["projectors"][iso.characters.index(chi)] == expected, name
+        assert data["projectors"] == [matrix_to_json(iso.projectors[chi]) for chi in iso.characters], name
+        checked += 1
+    assert checked == 11
+
+
 def test_isotypic_unsupported(cyclic3_cover):
     B = cycle_basis(cyclic3_cover)
     with pytest.raises(UnsupportedGroup):

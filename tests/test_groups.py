@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -11,6 +13,7 @@ from coverslide import (
     element_order,
     from_mul_table,
     group_from_json,
+    groups,
     left_cosets,
     subgroup_generated,
 )
@@ -204,6 +207,137 @@ def test_symmetric_tables_are_built_once():
     for _ in range(2):  # a refused k is not cached
         with pytest.raises(UnsupportedFamily):
             builtin_group_from_string("symmetric:6")
+
+
+@pytest.fixture
+def fresh_builtins(monkeypatch):
+    """An empty builtin table cache, in place of the process's one."""
+    cache = groups._TableCache()
+    monkeypatch.setattr(groups, "_BUILTINS", cache)
+    return cache
+
+
+def test_equal_specs_share_one_group(fresh_builtins):
+    assert builtin_group_from_string("Cyclic:128") is builtin_group("cyclic", 128)
+    assert builtin_group(" Elementary-Abelian ", 2, 5) is builtin_group_from_string("elementary_abelian:2,5")
+    assert builtin_group("trivial") is builtin_group_from_string("cyclic:1") is builtin_group("TRIVIAL")
+    assert builtin_group("dihedral", 32) is builtin_group("dihedral", 32)
+    assert builtin_group("cyclic", 5) is not builtin_group("cyclic", 6)
+    assert fresh_builtins.cells == 128**2 + 32**2 + 1 + 64**2 + 5**2 + 6**2
+
+
+def test_inexact_params_behave_as_without_a_cache(fresh_builtins):
+    """Only exact-int parameters are keys: 3.0 == 3 and True == 1 as dict
+    keys, but symmetric(3.0) and cyclic(2.0) raise, and True builds anew."""
+    for family, k in (("symmetric", 3), ("cyclic", 2), ("dihedral", 4)):
+        builtin_group(family, k)
+        cells = fresh_builtins.cells
+        for _ in range(2):
+            with pytest.raises(UnsupportedFamily):
+                builtin_group(family, float(k))
+        assert fresh_builtins.cells == cells
+    with pytest.raises(UnsupportedFamily):
+        builtin_group("elementary_abelian", 2, 2.0)
+    for family, params in (("cyclic", (1,)), ("symmetric", (1,)), ("dihedral", (1,)), ("elementary_abelian", (2, 1))):
+        G = builtin_group(family, *params)
+        cells = fresh_builtins.cells
+        H = builtin_group(family, *params[:-1], True)
+        assert H is not G and H is not builtin_group(family, *params[:-1], True)
+        assert (H.order, H.mul, H.inv, H.labels) == (G.order, G.mul, G.inv, G.labels)
+        assert fresh_builtins.cells == cells
+
+
+def test_refused_specs_raise_on_every_call(fresh_builtins):
+    for spec in ("symmetric:6", "cyclic:0", "cyclic:1025", "elementary_abelian:4,2", "dihedral:513",
+                 "monster:3", "cyclic:2,3", "trivial:1", "cyclic:x", "symmetric"):
+        for _ in range(3):
+            with pytest.raises(UnsupportedFamily):
+                builtin_group_from_string(spec)
+    assert fresh_builtins.cells == 0 and not fresh_builtins.groups
+
+
+def test_a_group_above_the_budget_is_not_kept(fresh_builtins):
+    G = builtin_group("cyclic", 600)  # 360,000 cells
+    assert 600**2 > groups.BUILTIN_CACHE_CELLS
+    assert builtin_group("cyclic", 600) is not G
+    assert fresh_builtins.cells == 0
+    assert builtin_group("cyclic", 512) is builtin_group("cyclic", 512)  # exactly the budget
+    assert fresh_builtins.cells == groups.BUILTIN_CACHE_CELLS
+
+
+# specs from 1 to 262,144 cells, and one above the budget
+CACHE_SPECS = [("trivial", ()), ("cyclic", (5,)), ("symmetric", (4,)), ("symmetric", (5,)),
+               ("elementary_abelian", (2, 6)), ("dihedral", (100,)), ("cyclic", (300,)),
+               ("dihedral", (180,)), ("cyclic", (512,)), ("cyclic", (513,))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(CACHE_SPECS), max_size=12))
+def test_kept_cells_stay_within_the_budget(calls):
+    """The cache against a model: the least recently used groups whose
+    tables fit are kept, every kept group comes back as the same object, and
+    the kept cells never exceed the budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        cache = groups._TableCache()
+        mp.setattr(groups, "_BUILTINS", cache)
+        model: dict = {}  # key -> group, least recently used first
+        for family, params in calls:
+            key = ("cyclic", (1,)) if family == "trivial" else (family, params)
+            G = builtin_group(family, *params)
+            if key in model:
+                assert G is model.pop(key)
+            if G.order**2 <= groups.BUILTIN_CACHE_CELLS:
+                model[key] = G
+            while sum(H.order**2 for H in model.values()) > groups.BUILTIN_CACHE_CELLS:
+                del model[next(iter(model))]
+            assert list(cache.groups.items()) == list(model.items())
+            assert cache.cells == sum(H.order**2 for H in model.values()) <= groups.BUILTIN_CACHE_CELLS
+
+
+def test_threads_building_one_spec_get_one_group(fresh_builtins):
+    """Threads that build the same specs at once each get the one kept
+    group, and the cell count stays the sum over the kept groups."""
+    specs = [("cyclic", 64), ("dihedral", 32), ("symmetric", 4), ("elementary_abelian", 2, 5)]
+    seen: list = []
+
+    def build() -> None:
+        for _ in range(20):
+            seen.extend((spec, builtin_group(*spec)) for spec in specs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 20 * len(specs)
+    assert len({(spec, id(G)) for spec, G in seen}) == len(specs)
+    assert fresh_builtins.cells == sum(G.order**2 for G in fresh_builtins.groups.values()) == 64**2 + 64**2 + 24**2 + 32**2
+
+
+def test_a_second_keep_of_one_key_returns_the_first_group(fresh_builtins):
+    """Two threads that both missed build the group twice; the later keep
+    returns the group kept first and counts its cells once."""
+    first, second = groups._cyclic(8), groups._cyclic(8)
+    assert fresh_builtins.keep(("cyclic", (8,)), first) is first
+    assert fresh_builtins.keep(("cyclic", (8,)), second) is first
+    assert fresh_builtins.cells == 64
+    assert builtin_group("cyclic", 8) is first
+
+
+def test_tables_from_outside_are_never_shared(fresh_builtins):
+    G = builtin_group("elementary_abelian", 2, 2)
+    data = {"mul": [list(row) for row in G.mul]}
+    cells = fresh_builtins.cells
+    tables = [from_mul_table(KLEIN_TABLE), from_mul_table(KLEIN_TABLE), group_from_json(data), group_from_json(data)]
+    assert len({id(H) for H in [G, *tables]}) == 5
+    assert all(H.mul == G.mul for H in tables)
+    assert fresh_builtins.cells == cells
 
 
 def test_group_json_round_trip():

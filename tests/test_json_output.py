@@ -127,6 +127,37 @@ class IntSub(int):
     pass
 
 
+class NamedInt(int):
+    def __str__(self):
+        return "named"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers() | st.sampled_from([0, -1, 1, 10**30, -(10**30)]), min_size=1, max_size=8),
+    st.sampled_from([None, True, IntSub(3), NamedInt(3), 1.0, "1"]),
+    st.integers(0, 2),
+)
+def test_int_lists_match_json_dumps(ints, other, depth):
+    """A list of exact ints is one join of their texts; a bool, an int
+    subclass, a float or a string among them takes the item-by-item route."""
+    for obj in (ints, tuple(ints), ints + [other], [other] + ints):
+        for _ in range(depth):
+            obj = {"k": [obj, ints]}
+        assert cli._dumps(obj) == dumps(obj)
+
+
+def test_int_lists_are_written_without_json_dumps(monkeypatch):
+    obj = {"characters": [[1, 1, -1, -1], [1, -1, 1, -1]], "dims": [5, 4]}
+    expected = dumps(obj)
+
+    def per_item(*args, **kwargs):
+        raise AssertionError("json.dumps called on an item of an int list")
+
+    monkeypatch.setattr(cli.json, "dumps", per_item)
+    assert cli._dumps(obj) == expected
+
+
 # entry objects a matrix may share between cells: ints of every sign and
 # size, non-integral and negative Fractions, and zeros of both types
 ENTRY_POOL = st.lists(
